@@ -12,8 +12,9 @@
  * traffic at multiple loads, next to the structural columns (switch
  * count, tiers, hops, power).
  *
- * Emits bench_results/BENCH_dcn.json (see --json) so successive PRs
- * can diff the comparison.
+ * Emits bench_results/BENCH_dcn.json (see --json) plus a provenance
+ * manifest sibling, so successive changes can diff the comparison
+ * with tools/bench_compare.py.
  *
  * Usage: bench_dcn [--smoke] [--json PATH]
  *   --smoke shrinks the calibration sweep and the flow counts for CI
@@ -26,6 +27,7 @@
 #include "bench_common.hpp"
 #include "core/radix_solver.hpp"
 #include "flow/dcn_campaign.hpp"
+#include "obs/run_manifest.hpp"
 #include "topology/clos.hpp"
 
 namespace {
@@ -177,6 +179,30 @@ main(int argc, char **argv)
         if (!os.flush())
             fatal("short write to '", json_path, "'");
         inform("DCN JSON written to ", json_path);
+
+        // Provenance sibling: bench_compare.py refuses to diff two
+        // reports whose manifests disagree on configuration.
+        std::string workloads, loads;
+        for (const auto &w : cfg.workloads)
+            workloads += (workloads.empty() ? "" : ",") + w.name;
+        for (double l : cfg.loads)
+            loads += (loads.empty() ? "" : ",") + Table::num(l, 2);
+        obs::RunManifest manifest("bench_dcn");
+        manifest.setConfig("smoke", smoke ? "true" : "false");
+        manifest.setConfig("hosts", cfg.hosts);
+        manifest.setConfig("flows_per_cell", cfg.flows_per_cell);
+        manifest.setConfig("ws_design", ws.name);
+        manifest.setConfig("conv_design", conv.name);
+        manifest.setConfig("workloads", workloads);
+        manifest.setConfig("loads", loads);
+        manifest.setSeed(cfg.seed);
+        manifest.setJobs(result.threads);
+        manifest.addArtifact(json_path, "bench-json");
+        manifest.addPhaseSeconds("campaign", result.wall_seconds);
+        const std::string manifest_path =
+            std::string(json_path) + ".manifest.json";
+        manifest.writeJsonFile(manifest_path);
+        inform("DCN manifest written to ", manifest_path);
     }
 
     std::cout << "\n[campaign] " << result.cells.size()

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <utility>
 
+#include "flow/max_min.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/watchdog.hpp"
 #include "util/artifact.hpp"
@@ -176,14 +177,27 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
     if (profile.saturation <= 0.0 || profile.line_rate_gbps <= 0.0)
         fatal("simulateFlows: profile must have positive saturation "
               "and line rate");
-    for (const auto &flow : flows) {
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        const FlowArrival &flow = flows[i];
         if (flow.src_host < 0 || flow.src_host >= hosts ||
             flow.dst_host < 0 || flow.dst_host >= hosts)
             fatal("simulateFlows: flow ", flow.id,
                   " references a host outside [0, ", hosts, ")");
+        // A NaN size would never complete (and surface much later as
+        // a "stalled" panic); an early arrival would be clamped to
+        // the clock and silently charged the wait in its FCT.
+        if (!std::isfinite(flow.bytes) || !std::isfinite(flow.arrival_s))
+            fatal("simulateFlows: flow ", flow.id,
+                  " has a non-finite size or arrival time (bytes ",
+                  flow.bytes, ", arrival ", flow.arrival_s, " s)");
         if (flow.bytes < 0.0)
             fatal("simulateFlows: flow ", flow.id, " has negative size ",
                   flow.bytes);
+        if (i > 0 && flow.arrival_s < flows[i - 1].arrival_s)
+            fatal("simulateFlows: flow ", flow.id, " arrives at ",
+                  flow.arrival_s, " s, before the previous flow (",
+                  flows[i - 1].arrival_s,
+                  " s); the flow list must be sorted by arrival");
     }
     if (topo.routesDirty())
         topo.rebuildRoutes();
@@ -254,11 +268,9 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
 
     // --- engine state --------------------------------------------
     std::vector<ActiveFlow> active;
-    std::vector<std::vector<int>> users(n_res);
-    std::vector<int> touched;
-    std::vector<double> remcap(n_res, 0.0);
-    std::vector<int> cnt(n_res, 0);
-    std::vector<char> frozen;
+    MaxMinScratch waterfill;
+    std::vector<std::span<const int>> flow_res;
+    std::vector<double> rates;
     std::vector<double> sw_rate(
         static_cast<std::size_t>(topo.switchCount()), 0.0);
 
@@ -284,63 +296,18 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
         f.res.push_back(static_cast<int>(2 * f.dst + 1));
     };
 
-    // Progressive waterfill: freeze the bottleneck resource's flows
-    // at its fair share, deduct, repeat — textbook max-min. Only
-    // resources touched by active flows are visited.
+    // Max-min fair rates for every active flow (maxMinRates), then
+    // the per-switch throughput feeding the latency lookups of the
+    // *next* arrivals.
     const auto recompute = [&]() {
         obs::ScopedPhase phase(cfg.profiler, "waterfill");
-        const int n = static_cast<int>(active.size());
-        for (int f = 0; f < n; ++f)
-            for (int r : active[static_cast<std::size_t>(f)].res) {
-                auto &list = users[static_cast<std::size_t>(r)];
-                if (list.empty())
-                    touched.push_back(r);
-                list.push_back(f);
-            }
-        frozen.assign(static_cast<std::size_t>(n), 0);
-        for (int r : touched) {
-            remcap[static_cast<std::size_t>(r)] =
-                cap[static_cast<std::size_t>(r)];
-            cnt[static_cast<std::size_t>(r)] = static_cast<int>(
-                users[static_cast<std::size_t>(r)].size());
-        }
-        int unfrozen = n;
-        while (unfrozen > 0) {
-            double best = kInf;
-            int bottleneck = -1;
-            for (int r : touched)
-                if (cnt[static_cast<std::size_t>(r)] > 0) {
-                    const double fair =
-                        remcap[static_cast<std::size_t>(r)] /
-                        cnt[static_cast<std::size_t>(r)];
-                    if (fair < best) {
-                        best = fair;
-                        bottleneck = r;
-                    }
-                }
-            if (bottleneck < 0)
-                panic("flow waterfill: ", unfrozen,
-                      " unfrozen flows but no loaded resource");
-            best = std::max(best, 0.0);
-            for (int f : users[static_cast<std::size_t>(bottleneck)]) {
-                if (frozen[static_cast<std::size_t>(f)])
-                    continue;
-                frozen[static_cast<std::size_t>(f)] = 1;
-                active[static_cast<std::size_t>(f)].rate = best;
-                --unfrozen;
-                for (int r : active[static_cast<std::size_t>(f)].res)
-                    if (r != bottleneck) {
-                        remcap[static_cast<std::size_t>(r)] -= best;
-                        --cnt[static_cast<std::size_t>(r)];
-                    }
-            }
-            cnt[static_cast<std::size_t>(bottleneck)] = 0;
-        }
-        for (int r : touched)
-            users[static_cast<std::size_t>(r)].clear();
-        touched.clear();
-        // Per-switch throughput feeding the latency lookups of the
-        // *next* arrivals.
+        flow_res.clear();
+        for (const auto &f : active)
+            flow_res.emplace_back(f.res);
+        rates.resize(active.size());
+        maxMinRates(cap, flow_res, rates, waterfill);
+        for (std::size_t f = 0; f < active.size(); ++f)
+            active[f].rate = rates[f];
         std::fill(sw_rate.begin(), sw_rate.end(), 0.0);
         for (const auto &f : active)
             for (int sw : f.switches)

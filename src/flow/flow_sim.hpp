@@ -5,7 +5,11 @@
  *
  * The classic flow-level abstraction: flows (host-to-host byte
  * transfers) share link bandwidth by max-min fairness, recomputed at
- * every arrival, completion and fault event (progressive waterfill).
+ * every arrival, completion and fault event. The solver is
+ * flow::maxMinRates (max_min.hpp): a progressive waterfill whose
+ * bottleneck search is a lazy min-heap keyed on (fair share, first
+ * use), bit-identical to the linear scan it replaced — the oracle and
+ * golden tests in tests/test_flow.cpp hold it to that.
  * What sets this engine apart from a generic flow simulator is that
  * every bandwidth and latency figure is *calibrated*: link
  * capacities are derated by the switch fabric's measured saturation
@@ -190,8 +194,9 @@ void verifyFlowConservation(std::int64_t started, std::int64_t completed,
  * touching NICs, trunks or switch latency (0 hops); a zero-byte flow
  * completes at arrival paying only the calibrated path latency.
  * Neither ever enters the fair-share waterfill, so they cannot stall
- * the engine or steal bandwidth. Negative byte counts are a fatal
- * input error.
+ * the engine or steal bandwidth. Negative or non-finite byte counts,
+ * non-finite arrival times and a flow arriving before its
+ * predecessor are fatal input errors naming the flow.
  *
  * @p topo is mutated (fault state, routing tables); build a fresh
  * topology per run.

@@ -13,8 +13,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <random>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "exec/thread_pool.hpp"
@@ -22,6 +25,7 @@
 #include "flow/dcn_campaign.hpp"
 #include "flow/dcn_topology.hpp"
 #include "flow/flow_sim.hpp"
+#include "flow/max_min.hpp"
 #include "flow/switch_profile.hpp"
 #include "flow/workload.hpp"
 #include "obs/flight_recorder.hpp"
@@ -539,6 +543,41 @@ TEST(FlowSim, NegativeByteSizeDiesLoudly)
     EXPECT_DEATH(simulateFlows(topo, profile, flows), "negative size");
 }
 
+TEST(FlowSim, NonFiniteFlowDiesLoudly)
+{
+    // A NaN size passes a `bytes < 0` check, never completes and
+    // would surface later as a misleading stall; the guard names the
+    // offending flow up front.
+    DcnTopology topo = DcnTopology::buildFatTree(16, 8, 200.0);
+    const SwitchProfile profile = testProfile("t", 8);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const FlowArrival &bad :
+         {FlowArrival{7, 0.0, 0, 1, nan}, FlowArrival{7, 0.0, 0, 1, inf},
+          FlowArrival{7, nan, 0, 1, 1e5}, FlowArrival{7, inf, 0, 1, 1e5}}) {
+        const std::vector<FlowArrival> flows = {{1, 0.0, 2, 3, 1e5}, bad};
+        EXPECT_DEATH(simulateFlows(topo, profile, flows),
+                     "flow 7 has a non-finite size or arrival time");
+    }
+}
+
+TEST(FlowSim, OutOfOrderArrivalDiesLoudly)
+{
+    // An early arrival would be clamped to the clock and silently
+    // charged the wait in its FCT.
+    DcnTopology topo = DcnTopology::buildFatTree(16, 8, 200.0);
+    const SwitchProfile profile = testProfile("t", 8);
+    const std::vector<FlowArrival> flows = {{1, 2e-6, 0, 1, 1e5},
+                                            {2, 1e-6, 2, 3, 1e5}};
+    EXPECT_DEATH(simulateFlows(topo, profile, flows),
+                 "flow 2 arrives at .* before the previous flow");
+    // Equal arrival instants (incast bursts, collective steps) are
+    // in order.
+    const std::vector<FlowArrival> burst = {{1, 1e-6, 0, 1, 1e5},
+                                            {2, 1e-6, 2, 1, 1e5}};
+    EXPECT_EQ(simulateFlows(topo, profile, burst).completed, 2);
+}
+
 TEST(FlowSim, FctMaxTracksTheSlowestFlow)
 {
     DcnTopology topo = DcnTopology::buildFatTree(16, 8, 200.0);
@@ -553,6 +592,384 @@ TEST(FlowSim, FctMaxTracksTheSlowestFlow)
     // The slowest flow is the largest one; its ideal time lower-bounds
     // the max FCT.
     EXPECT_GE(r.fct_max_s, 8e5 / (200.0 * 1e9 / 8.0));
+}
+
+// --- Waterfill -------------------------------------------------------
+
+/// The linear-scan waterfill that maxMinRates replaced, kept as the
+/// oracle: every bottleneck iteration scans all touched resources in
+/// first-use order and takes the first strict minimum of
+/// remcap / cnt.
+std::vector<double>
+linearScanRates(const std::vector<double> &cap,
+                const std::vector<std::vector<int>> &flow_res)
+{
+    const int n = static_cast<int>(flow_res.size());
+    std::vector<std::vector<int>> users(cap.size());
+    std::vector<int> touched;
+    std::vector<double> remcap(cap.size(), 0.0);
+    std::vector<int> cnt(cap.size(), 0);
+    std::vector<char> frozen(flow_res.size(), 0);
+    std::vector<double> rates(flow_res.size(), 0.0);
+    for (int f = 0; f < n; ++f)
+        for (int r : flow_res[static_cast<std::size_t>(f)]) {
+            auto &list = users[static_cast<std::size_t>(r)];
+            if (list.empty())
+                touched.push_back(r);
+            list.push_back(f);
+        }
+    for (int r : touched) {
+        remcap[static_cast<std::size_t>(r)] =
+            cap[static_cast<std::size_t>(r)];
+        cnt[static_cast<std::size_t>(r)] =
+            static_cast<int>(users[static_cast<std::size_t>(r)].size());
+    }
+    int unfrozen = n;
+    while (unfrozen > 0) {
+        double best = std::numeric_limits<double>::infinity();
+        int bottleneck = -1;
+        for (int r : touched)
+            if (cnt[static_cast<std::size_t>(r)] > 0) {
+                const double fair = remcap[static_cast<std::size_t>(r)] /
+                                    cnt[static_cast<std::size_t>(r)];
+                if (fair < best) {
+                    best = fair;
+                    bottleneck = r;
+                }
+            }
+        if (bottleneck < 0) {
+            ADD_FAILURE() << "oracle: no loaded resource";
+            return rates;
+        }
+        best = std::max(best, 0.0);
+        for (int f : users[static_cast<std::size_t>(bottleneck)]) {
+            if (frozen[static_cast<std::size_t>(f)])
+                continue;
+            frozen[static_cast<std::size_t>(f)] = 1;
+            rates[static_cast<std::size_t>(f)] = best;
+            --unfrozen;
+            for (int r : flow_res[static_cast<std::size_t>(f)])
+                if (r != bottleneck) {
+                    remcap[static_cast<std::size_t>(r)] -= best;
+                    --cnt[static_cast<std::size_t>(r)];
+                }
+        }
+        cnt[static_cast<std::size_t>(bottleneck)] = 0;
+    }
+    return rates;
+}
+
+struct WaterfillInstance
+{
+    /// Resources [0, 2 * hosts) are NICs, the rest trunk directions.
+    int hosts = 0;
+    std::vector<double> cap;
+    std::vector<std::vector<int>> flows;
+};
+
+/// A seeded random flow set shaped like the simulator's: hosts with
+/// one-line-rate tx/rx NICs (many equal-capacity resources, where
+/// exact ties live), a few trunk pairs shared by dozens of flows,
+/// 2-resource single-switch and 4-resource leaf-spine paths, and in
+/// every fourth instance a dead (zero-capacity) trunk direction.
+/// Odd seeds use a collective-like regular pattern (every host sends
+/// to the next `fan` hosts), so whole rows of NICs tie exactly and a
+/// deduction can round a tied share one ulp below its heap key.
+WaterfillInstance
+randomInstance(std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    const auto below = [&](int n) {
+        return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    };
+    const double nic = 200e9 / 8.0 * 0.95;
+    const int hosts = 8 + below(57);
+    const int trunks = 1 + below(4);
+    const int leaf_spine_pct = below(101);
+
+    WaterfillInstance inst;
+    inst.hosts = hosts;
+    inst.cap.assign(static_cast<std::size_t>(2 * hosts), nic);
+    for (int t = 0; t < 2 * trunks; ++t) {
+        // Half the trunks are exact multiples of the NIC rate (more
+        // ties), half are arbitrary.
+        const double c = rng() % 2 ? nic * (1 + below(4))
+                                   : nic * (0.5 + 3.5 * (rng() >> 11) *
+                                                      0x1.0p-53);
+        inst.cap.push_back(c);
+    }
+    if (seed % 4 == 0)
+        inst.cap[static_cast<std::size_t>(2 * hosts)] = 0.0;
+
+    const bool regular = seed % 2 == 1;
+    const int fan = 2 + below(7);
+    const int n_flows = regular ? hosts * fan : 100 + below(301);
+    for (int f = 0; f < n_flows; ++f) {
+        int src = 0, dst = 0;
+        if (regular) {
+            src = f / fan;
+            dst = (src + 1 + f % fan) % hosts;
+        } else {
+            src = below(hosts);
+            dst = below(hosts - 1);
+            dst += dst >= src;
+        }
+        std::vector<int> res = {2 * src};
+        if (below(100) < leaf_spine_pct) {
+            res.push_back(2 * hosts + 2 * below(trunks));
+            res.push_back(2 * hosts + 2 * below(trunks) + 1);
+        }
+        res.push_back(2 * dst + 1);
+        inst.flows.push_back(std::move(res));
+    }
+    return inst;
+}
+
+TEST(FlowSim, WaterfillMatchesLinearScanOracleBitForBit)
+{
+    // One scratch across every instance: it must carry no state from
+    // one solve to the next, even as the resource count changes.
+    MaxMinScratch scratch;
+    int big_trunks = 0, dead_trunks = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const WaterfillInstance inst = randomInstance(seed);
+        std::vector<std::span<const int>> spans(inst.flows.begin(),
+                                                inst.flows.end());
+        std::vector<double> rates(spans.size(), -1.0);
+        maxMinRates(inst.cap, spans, rates, scratch);
+        const std::vector<double> oracle =
+            linearScanRates(inst.cap, inst.flows);
+        for (std::size_t f = 0; f < rates.size(); ++f)
+            ASSERT_EQ(rates[f], oracle[f])
+                << "instance " << seed << ", flow " << f;
+
+        std::vector<int> users(inst.cap.size(), 0);
+        for (const auto &res : inst.flows)
+            for (int r : res)
+                ++users[static_cast<std::size_t>(r)];
+        int busiest_trunk = 0;
+        bool dead = false;
+        for (std::size_t r = 0; r < inst.cap.size(); ++r) {
+            if (r >= static_cast<std::size_t>(2 * inst.hosts))
+                busiest_trunk = std::max(busiest_trunk, users[r]);
+            dead |= inst.cap[r] == 0.0 && users[r] > 0;
+        }
+        big_trunks += busiest_trunk >= 50;
+        dead_trunks += dead;
+    }
+    // The instances really do stress the cases named above (82 have
+    // a trunk carrying 50+ flows, 48 route flows over a dead one).
+    EXPECT_GE(big_trunks, 75);
+    EXPECT_GE(dead_trunks, 40);
+}
+
+TEST(FlowSim, WaterfillRatesAreMaxMinFair)
+{
+    // The defining property, independent of the oracle: rates are
+    // feasible, and every flow crosses a saturated resource on which
+    // no other flow gets more.
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const WaterfillInstance inst = randomInstance(seed);
+        const std::vector<std::span<const int>> spans(inst.flows.begin(),
+                                                      inst.flows.end());
+        std::vector<double> rates(spans.size(), -1.0);
+        MaxMinScratch scratch;
+        maxMinRates(inst.cap, spans, rates, scratch);
+        std::vector<double> load(inst.cap.size(), 0.0);
+        std::vector<double> top(inst.cap.size(), 0.0);
+        for (std::size_t f = 0; f < rates.size(); ++f) {
+            ASSERT_GE(rates[f], 0.0);
+            for (int r : inst.flows[f]) {
+                load[static_cast<std::size_t>(r)] += rates[f];
+                top[static_cast<std::size_t>(r)] =
+                    std::max(top[static_cast<std::size_t>(r)], rates[f]);
+            }
+        }
+        for (std::size_t r = 0; r < inst.cap.size(); ++r)
+            ASSERT_LE(load[r], inst.cap[r] * (1.0 + 1e-12))
+                << "instance " << seed << ", resource " << r;
+        for (std::size_t f = 0; f < rates.size(); ++f) {
+            bool bottlenecked = false;
+            for (int r : inst.flows[f]) {
+                const auto ru = static_cast<std::size_t>(r);
+                bottlenecked |=
+                    std::abs(load[ru] - inst.cap[ru]) <=
+                        1e-12 * inst.cap[ru] &&
+                    rates[f] >= top[ru] * (1.0 - 1e-12);
+            }
+            ASSERT_TRUE(bottlenecked) << "instance " << seed << ", flow "
+                                      << f << " at rate " << rates[f];
+        }
+    }
+}
+
+TEST(FlowSim, WaterfillWithoutResourcesDiesLoudly)
+{
+    const std::vector<double> cap = {1.0};
+    const std::vector<int> none;
+    const std::vector<std::span<const int>> flows = {none};
+    std::vector<double> rates(1);
+    MaxMinScratch scratch;
+    EXPECT_DEATH(maxMinRates(cap, flows, rates, scratch),
+                 "no loaded resource");
+}
+
+// --- End-to-end goldens ----------------------------------------------
+
+/// One of the four traffic cases the bit-identity contract pins: a
+/// 2-tier fat-tree of 32 hosts at 0.7 load under websearch, hadoop
+/// or incast traffic, optionally with a spine killed mid-run so
+/// in-flight flows reroute.
+FlowSimResult
+goldenRun(const std::string &workload, std::uint64_t seed,
+          bool kill_spine = false)
+{
+    DcnTopology topo = DcnTopology::buildFatTree(32, 8, 200.0);
+    const SwitchProfile profile = testProfile("t", 8);
+    DcnWorkloadSpec spec = workloadByName(workload);
+    spec.flow_count = 2000;
+    spec.load = 0.7;
+    const auto flows = generateFlows(spec, 32, 200.0, seed);
+    fault::DcnFaultSchedule faults;
+    if (kill_spine) {
+        std::set<int> edges;
+        for (std::int64_t h = 0; h < topo.hostCount(); ++h)
+            edges.insert(topo.edgeOf(h));
+        int spine = 0;
+        while (edges.count(spine))
+            ++spine;
+        faults.killSwitch(flows[flows.size() / 2].arrival_s, spine);
+    }
+    return simulateFlows(topo, profile, flows, faults);
+}
+
+/// Every FlowSimResult field, in declaration order.
+struct Golden
+{
+    std::int64_t started, completed, failed, rerouted, fault_events;
+    double duration_s, completed_bytes, throughput_gbps, fct_avg_s,
+        fct_max_s, fct_p50_s, fct_p99_s, fct_p999_s, slowdown_avg,
+        slowdown_p50, slowdown_p99, slowdown_p999, avg_hops;
+};
+
+void
+expectGolden(const FlowSimResult &r, const Golden &g)
+{
+    EXPECT_EQ(r.started, g.started);
+    EXPECT_EQ(r.completed, g.completed);
+    EXPECT_EQ(r.failed, g.failed);
+    EXPECT_EQ(r.rerouted, g.rerouted);
+    EXPECT_EQ(r.fault_events, g.fault_events);
+    EXPECT_EQ(r.duration_s, g.duration_s);
+    EXPECT_EQ(r.completed_bytes, g.completed_bytes);
+    EXPECT_EQ(r.throughput_gbps, g.throughput_gbps);
+    EXPECT_EQ(r.fct_avg_s, g.fct_avg_s);
+    EXPECT_EQ(r.fct_max_s, g.fct_max_s);
+    EXPECT_EQ(r.fct_p50_s, g.fct_p50_s);
+    EXPECT_EQ(r.fct_p99_s, g.fct_p99_s);
+    EXPECT_EQ(r.fct_p999_s, g.fct_p999_s);
+    EXPECT_EQ(r.slowdown_avg, g.slowdown_avg);
+    EXPECT_EQ(r.slowdown_p50, g.slowdown_p50);
+    EXPECT_EQ(r.slowdown_p99, g.slowdown_p99);
+    EXPECT_EQ(r.slowdown_p999, g.slowdown_p999);
+    EXPECT_EQ(r.avg_hops, g.avg_hops);
+    EXPECT_EQ(r.telemetry, nullptr);
+}
+
+// Pinned from the linear-scan waterfill: the heap must reproduce
+// every bit.
+// websearch, seed 11.
+constexpr Golden kGoldenWebsearch = {
+    2000, 2000, 0, 0, 0, // started .. fault_events
+    0x1.2d254ba223ae9p-7, // duration_s
+    0x1.58ae7cf51acedp+31, // completed_bytes
+    0x1.3a9dc8dc819edp+11, // throughput_gbps
+    0x1.05680046616ep-12, // fct_avg_s
+    0x1.06f398fbb39dcp-7, // fct_max_s
+    0x1.1b30d6ff96591p-17, // fct_p50_s
+    0x1.04b291cc12931p-8, // fct_p99_s
+    0x1.ba6cf7269559ap-8, // fct_p999_s
+    0x1.0cf10604aed78p+2, // slowdown_avg
+    0x1.ece5aa18bd2f4p+1, // slowdown_p50
+    0x1.4df5b30cf4d79p+3, // slowdown_p99
+    0x1.7347aee063e37p+3, // slowdown_p999
+    0x1.68f5c28f5c289p+1 // avg_hops
+};
+
+// hadoop, seed 12.
+constexpr Golden kGoldenHadoop = {
+    2000, 2000, 0, 0, 0, // started .. fault_events
+    0x1.c34fd46493746p-8, // duration_s
+    0x1.113c8e6257343p+30, // completed_bytes
+    0x1.4cd654aa108b9p+10, // throughput_gbps
+    0x1.fbf57b17cbd5p-15, // fct_avg_s
+    0x1.6f39260503822p-8, // fct_max_s
+    0x1.d840be75e76a6p-23, // fct_p50_s
+    0x1.a0edbafe3aaf5p-10, // fct_p99_s
+    0x1.537213bd57a26p-8, // fct_p999_s
+    0x1.159b88d4fa861p+1, // slowdown_avg
+    0x1.f01984156b16bp+0, // slowdown_p50
+    0x1.506b2f9c69b89p+2, // slowdown_p99
+    0x1.8e5212460f4eap+2, // slowdown_p999
+    0x1.6810624dd2f1ep+1 // avg_hops
+};
+
+// incast (websearch plus 32:1 bursts), seed 13.
+constexpr Golden kGoldenIncast = {
+    2000, 2000, 0, 0, 0, // started .. fault_events
+    0x1.5242848136f87p-8, // duration_s
+    0x1.e452b5dfaeaep+29, // completed_bytes
+    0x1.899285474a63fp+10, // throughput_gbps
+    0x1.702b9770a5fd6p-14, // fct_avg_s
+    0x1.c0fb6c2590c04p-9, // fct_max_s
+    0x1.7f28f9c5ef2b8p-15, // fct_p50_s
+    0x1.7ce0b5c450cecp-10, // fct_p99_s
+    0x1.aaeb2f608b9efp-9, // fct_p999_s
+    0x1.644ed8fec082p+4, // slowdown_avg
+    0x1.fa9e0bbe120ep+4, // slowdown_p50
+    0x1.2996667105094p+5, // slowdown_p99
+    0x1.2a04471eb632dp+5, // slowdown_p999
+    0x1.66c8b4395810ap+1 // avg_hops
+};
+
+// websearch, seed 14, spine killed at the median arrival.
+constexpr Golden kGoldenSpineKill = {
+    2000, 2000, 0, 27, 1, // started .. fault_events
+    0x1.45dc99912de1fp-7, // duration_s
+    0x1.719ce82109502p+31, // completed_bytes
+    0x1.37c8ab2ec64f1p+11, // throughput_gbps
+    0x1.36cb7ed648b6p-12, // fct_avg_s
+    0x1.d31f38682d0d3p-8, // fct_max_s
+    0x1.793e287d19b9ep-17, // fct_p50_s
+    0x1.44ca373ba7753p-8, // fct_p99_s
+    0x1.a7c835f469735p-8, // fct_p999_s
+    0x1.28d83b7f7e348p+2, // slowdown_avg
+    0x1.057ab8a244d53p+2, // slowdown_p50
+    0x1.6e66cfe5293bfp+3, // slowdown_p99
+    0x1.c7900d0927e12p+3, // slowdown_p999
+    0x1.63b645a1cac02p+1 // avg_hops
+};
+
+TEST(FlowSim, GoldenWebsearchTwoTier)
+{
+    expectGolden(goldenRun("websearch", 11), kGoldenWebsearch);
+}
+
+TEST(FlowSim, GoldenHadoopTwoTier)
+{
+    expectGolden(goldenRun("hadoop", 12), kGoldenHadoop);
+}
+
+TEST(FlowSim, GoldenIncastTwoTier)
+{
+    expectGolden(goldenRun("incast", 13), kGoldenIncast);
+}
+
+TEST(FlowSim, GoldenSpineKillReroutes)
+{
+    const FlowSimResult r = goldenRun("websearch", 14, true);
+    EXPECT_GT(r.rerouted, 0);
+    expectGolden(r, kGoldenSpineKill);
 }
 
 // --- Campaign --------------------------------------------------------

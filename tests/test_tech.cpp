@@ -99,6 +99,14 @@ struct ExternalIoCase
     double expected_ports_200g;
 };
 
+// Names each case by its value ("SerDes_300mm"). Without this,
+// gtest prints the raw bytes of the case, name pointer included, so
+// the discovered test names change with the load address.
+void PrintTo(const ExternalIoCase &c, std::ostream *os)
+{
+    *os << c.name << '_' << static_cast<int>(c.side) << "mm";
+}
+
 class ExternalIoCapacity
     : public ::testing::TestWithParam<ExternalIoCase>
 {};

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Compare two bench JSON reports (bench_simcore or bench_coll).
+"""Compare two bench JSON reports (bench_simcore, bench_coll, bench_dcn).
 
 Usage: tools/bench_compare.py BASELINE.json CANDIDATE.json
            [--max-regress PCT] [--require-identical]
 
 Both files must come from the same benchmark; the kind is read from
-the "bench" field. Points are matched by (name, rate). For each match
+the "bench" field. Points are matched by the kind's key. For each match
 the tool prints the metric ratio, and fails (exit 1) when:
 
   * the candidate is more than --max-regress percent below the
@@ -18,12 +18,17 @@ the tool prints the metric ratio, and fails (exit 1) when:
     its speed, and the perf comparison is void.
 
 Kinds:
-  simcore  metric mflits_per_second (wall-clock throughput);
-           identity flits_delivered / end_cycle / stable
-  coll     metric busbw_gbps (simulated bus bandwidth — fully
-           deterministic, so use --require-identical and treat ANY
-           drift as behavioural); identity steps / messages /
-           flow_us / model_us / failed
+  simcore  points keyed by (name, rate); metric mflits_per_second
+           (wall-clock throughput); identity flits_delivered /
+           end_cycle / stable
+  coll     points keyed by (name, rate); metric busbw_gbps (simulated
+           bus bandwidth — fully deterministic, so use
+           --require-identical and treat ANY drift as behavioural);
+           identity steps / messages / flow_us / model_us / failed
+  dcn      points keyed by (design, workload, load); metric
+           flows_per_s (flows / seconds, the cell's wall-clock flow
+           throughput); identity completed / failed / rerouted and
+           every fct_* and slowdown_* field
 
 When a provenance manifest sits next to a report (the benches write
 `REPORT.json.manifest.json` siblings), its resolved configuration is
@@ -41,20 +46,51 @@ import json
 import os
 import sys
 
-# Per-benchmark comparison contract: which field is the higher-is-
-# better metric, and which fields must be bit-identical for the run
-# to count as behaviourally unchanged.
+
+def named_points(doc):
+    """bench_simcore / bench_coll: a flat "points" list."""
+    return {(p["name"], p["rate"]): p for p in doc["points"]}
+
+
+def dcn_points(doc):
+    """bench_dcn: the campaign's cells, with their flow throughput."""
+    return {
+        (c["design"], c["workload"], c["load"]):
+            dict(c, flows_per_s=c["flows"] / c["seconds"]
+                 if c["seconds"] > 0 else 0.0)
+        for c in doc["campaign"]["cells"]
+    }
+
+
+# Per-benchmark comparison contract: how to key the points, which
+# field is the higher-is-better metric, and which fields must be
+# bit-identical for the run to count as behaviourally unchanged.
 BENCH_KINDS = {
     "simcore": {
+        "points": named_points,
         "metric": "mflits_per_second",
         "identity": ("flits_delivered", "end_cycle", "stable"),
     },
     "coll": {
+        "points": named_points,
         "metric": "busbw_gbps",
         "identity": ("steps", "messages", "flow_us", "model_us",
                      "failed"),
     },
+    "dcn": {
+        "points": dcn_points,
+        "metric": "flows_per_s",
+        "identity": ("completed", "failed", "rerouted", "fct_avg_s",
+                     "fct_p50_s", "fct_p99_s", "fct_p999_s",
+                     "slowdown_avg", "slowdown_p50", "slowdown_p99",
+                     "slowdown_p999"),
+    },
 }
+
+
+def point_label(key):
+    return "/".join(f"{k:.2f}" if isinstance(k, float) else str(k)
+                    for k in key)
 
 
 def load_points(path):
@@ -63,8 +99,8 @@ def load_points(path):
             doc = json.load(fh)
     except OSError as err:
         sys.exit(f"bench_compare: cannot read {path}: {err.strerror}"
-                 " (generate it with `bench_simcore --json` or "
-                 "`bench_coll --json`)")
+                 " (generate it with `bench_simcore --json`, "
+                 "`bench_coll --json` or `bench_dcn --json`)")
     except json.JSONDecodeError as err:
         sys.exit(f"bench_compare: {path} is not valid JSON ({err})")
     kind = doc.get("bench")
@@ -73,9 +109,8 @@ def load_points(path):
                  f"(bench={kind!r}, expected one of "
                  f"{sorted(BENCH_KINDS)})")
     try:
-        return kind, doc.get("smoke", False), {
-            (p["name"], p["rate"]): p for p in doc["points"]
-        }
+        return kind, doc.get("smoke", False), \
+            BENCH_KINDS[kind]["points"](doc)
     except (KeyError, TypeError) as err:
         sys.exit(f"bench_compare: {path} is missing expected "
                  f"bench_{kind} fields ({err})")
@@ -163,7 +198,7 @@ def main():
                  "produced by different benchmarks?")
     for key in sorted(base.keys() ^ cand.keys()):
         side = "baseline" if key in base else "candidate"
-        print(f"note: {key[0]} @ {key[1]} only in {side}, skipped")
+        print(f"note: {point_label(key)} only in {side}, skipped")
 
     failures = []
     print(f"{'point':44s} {'base':>9s} {'cand':>9s} {'ratio':>7s}  "
@@ -173,7 +208,7 @@ def main():
         ratio = (c[metric] / b[metric]
                  if b[metric] > 0 else float("inf"))
         identical = all(b[f] == c[f] for f in identity)
-        label = f"{key[0]}/{key[1]:.2f}"
+        label = point_label(key)
         print(f"{label:44s} {b[metric]:9.3f} {c[metric]:9.3f} "
               f"{ratio:6.2f}x  {'yes' if identical else 'NO'}")
         if ratio < 1.0 - args.max_regress / 100.0:

@@ -33,7 +33,8 @@
 #      and bench_coll --smoke is gated against a fresh re-run with
 #      tools/bench_compare.py --require-identical (the engine is
 #      deterministic, so any drift is a behavioural change; the bench
-#      manifests prove both runs shared one configuration),
+#      manifests prove both runs shared one configuration); the same
+#      self-compare gates bench_dcn --smoke,
 #   8. the flight-recorder stack: the disabled-recordEvent overhead
 #      guard (same >=10x contract as the profiler), a watchdog stall
 #      smoke (a deliberately sleeping worker must be diagnosed and
@@ -216,6 +217,19 @@ build-release/bench/bench_coll --smoke \
     --json "$OBS_TMP/BENCH_coll_b.json"
 python3 tools/bench_compare.py "$OBS_TMP/BENCH_coll_a.json" \
     "$OBS_TMP/BENCH_coll_b.json" --require-identical
+
+echo "== dcn bench: deterministic against itself =="
+# Same contract as bench_coll: the flow engine (heap waterfill
+# included) is deterministic, so two smoke runs must agree on every
+# completion count and FCT/slowdown figure, bit for bit. The dcn
+# metric is wall-clock flows/s, and smoke cells last milliseconds, so
+# only identity is gated here (--max-regress 100 never trips).
+build-release/bench/bench_dcn --smoke \
+    --json "$OBS_TMP/BENCH_dcn_a.json"
+build-release/bench/bench_dcn --smoke \
+    --json "$OBS_TMP/BENCH_dcn_b.json"
+python3 tools/bench_compare.py "$OBS_TMP/BENCH_dcn_a.json" \
+    "$OBS_TMP/BENCH_dcn_b.json" --require-identical --max-regress 100
 
 echo "== watchdog smoke: stalled worker diagnosed in under a second =="
 # The helper forks a worker that registers a heartbeat and then
