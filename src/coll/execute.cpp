@@ -8,7 +8,6 @@
 
 #include "flow/flow_sim.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "sim/simulator.hpp"
 #include "trace/coll_lowering.hpp"
 #include "trace/trace_workload.hpp"
@@ -198,11 +197,10 @@ executeOnDcn(const Schedule &schedule, double payload_bytes,
 
     for (int step = 0; step < schedule.steps; ++step) {
         obs::ScopedPhase step_phase(cfg.profiler, "step");
-        // Step boundary mark + heartbeat: a collective hung inside a
-        // step names the step in the stall dump. Purely passive.
+        // Step boundary mark: a collective hung inside a step names
+        // the step in the stall dump. Purely passive.
         obs::recordEvent(obs::EventKind::SimEpoch, step, schedule.steps,
                          schedule.name());
-        obs::heartbeat();
         if (cfg.fault.at_step == step) {
             if (cfg.fault.kill_switch)
                 topo.setSwitchAlive(cfg.fault.id, false);
@@ -356,7 +354,6 @@ executeOnFabric(const Schedule &schedule, double payload_bytes,
     sim_cfg.drain_limit = 0;
     obs::recordEvent(obs::EventKind::SimEpoch, schedule.steps,
                      payload_flits, schedule.name());
-    obs::heartbeat();
     sim::Simulator sim(net, workload, sim_cfg);
     const sim::SimResult r = sim.run();
     if (!r.stable)

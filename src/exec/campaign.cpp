@@ -142,8 +142,8 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
     }
 
     // Liveness/progress plumbing (flight recorder + watchdog): all
-    // of it is passive — events and heartbeats never feed back into
-    // the cells, so results stay bit-identical with it on or off.
+    // of it is passive — events never feed back into the cells, so
+    // results stay bit-identical with it on or off.
     obs::Watchdog::setProgressTotal(cells.size());
 
     const auto runCell = [&](std::int64_t index) {
@@ -151,31 +151,19 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
         const Entry &entry =
             entries_[static_cast<std::size_t>(cell.job)];
         const int prof_slot = pool ? pool->workerSlot() : 0;
-        if (obs::FlightRecorder::enabled() ||
-            obs::Watchdog::heartbeatsEnabled()) {
-            const std::string label =
-                (!pool || prof_slot == pool->size())
-                    ? "caller"
-                    : "worker-" + std::to_string(prof_slot);
-            obs::FlightRecorder::attachCurrentThread(label);
-            obs::Watchdog::registerCurrentThread(label);
-            obs::Watchdog::markThreadActive();
-            obs::recordEvent(obs::EventKind::JobStart, index, cell.job,
-                             entry.name);
-            if (obs::Watchdog::heartbeatsEnabled()) {
-                std::string detail = entry.name;
-                if (entry.is_sweep) {
-                    char point[48];
-                    std::snprintf(
-                        point, sizeof point, " rep %d rate %.3g",
-                        cell.repetition,
-                        entry.sweep.rates[static_cast<std::size_t>(
-                            cell.rate_index)]);
-                    detail += point;
-                }
-                obs::Watchdog::setThreadDetail(detail);
-            }
+        std::string detail = entry.name;
+        if (entry.is_sweep) {
+            char point[48];
+            std::snprintf(point, sizeof point, " rep %d rate %.3g",
+                          cell.repetition,
+                          entry.sweep.rates[static_cast<std::size_t>(
+                              cell.rate_index)]);
+            detail += point;
         }
+        const obs::WorkerScope liveness(workerLabel(pool, prof_slot),
+                                        detail);
+        obs::recordEvent(obs::EventKind::JobStart, index, cell.job,
+                         entry.name);
         obs::ScopedPhase cell_phase(
             profiler
                 ? &worker_prof[static_cast<std::size_t>(prof_slot)]
@@ -227,9 +215,6 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
         obs::recordEvent(obs::EventKind::JobFinish, index, cell.job,
                          entry.name);
         obs::Watchdog::addProgressDone();
-        // Idle between cells: a drained queue must not read as a
-        // stalled worker.
-        obs::Watchdog::markThreadIdle();
     };
     if (pool)
         pool->parallelFor(static_cast<std::int64_t>(cells.size()),

@@ -1,11 +1,11 @@
 #include "exec/sweep_runner.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <utility>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "util/logging.hpp"
 #include "util/stats_accumulator.hpp"
 
@@ -47,7 +47,6 @@ SweepRunner::runPoint(int repetition, int rate_index) const
         obs::EventKind::DesignPoint, repetition, rate_index,
         "rate " +
             std::to_string(job_.rates[static_cast<std::size_t>(rate_index)]));
-    obs::heartbeat();
 
     PointOutcome outcome;
     outcome.repetition = repetition;
@@ -83,16 +82,10 @@ SweepRunner::run(ThreadPool *pool, obs::TraceEventSink *trace,
         const int rep = static_cast<int>(index / rates);
         const int ri = static_cast<int>(index % rates);
         const int slot = pool ? pool->workerSlot() : 0;
-        if (obs::FlightRecorder::enabled() ||
-            obs::Watchdog::heartbeatsEnabled()) {
-            const std::string label =
-                (!pool || slot == pool->size())
-                    ? "caller"
-                    : "worker-" + std::to_string(slot);
-            obs::FlightRecorder::attachCurrentThread(label);
-            obs::Watchdog::registerCurrentThread(label);
-            obs::Watchdog::markThreadActive();
-        }
+        char detail[48];
+        std::snprintf(detail, sizeof detail, "sweep rep %d rate %.3g", rep,
+                      job_.rates[static_cast<std::size_t>(ri)]);
+        const obs::WorkerScope liveness(workerLabel(pool, slot), detail);
         const std::int64_t ts = trace ? trace->nowMicros() : 0;
         obs::ScopedPhase cell_phase(
             profiler ? &worker_prof[static_cast<std::size_t>(slot)]
@@ -110,7 +103,6 @@ SweepRunner::run(ThreadPool *pool, obs::TraceEventSink *trace,
                  obs::TraceArg::num(
                      "rate",
                      job_.rates[static_cast<std::size_t>(ri)])});
-        obs::Watchdog::markThreadIdle();
     };
     if (pool)
         pool->parallelFor(reps * rates, runCell);

@@ -46,6 +46,14 @@ ThreadPool::workerSlot() const
     return tl_pool == this ? tl_slot : size();
 }
 
+std::string
+workerLabel(const ThreadPool *pool, int slot)
+{
+    if (pool == nullptr || slot == pool->size())
+        return "caller";
+    return "worker-" + std::to_string(slot);
+}
+
 int
 ThreadPool::defaultThreads()
 {

@@ -27,6 +27,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -146,6 +147,13 @@ class ThreadPool
     std::condition_variable wake_cv_;
     std::atomic<bool> stop_{false};
 };
+
+/**
+ * Flight-recorder label of pool slot @p slot (workerSlot()):
+ * "worker-N" for pool threads, "caller" for the thread driving
+ * parallelFor or a serial run (@p pool null).
+ */
+std::string workerLabel(const ThreadPool *pool, int slot);
 
 } // namespace wss::exec
 

@@ -9,7 +9,6 @@
 
 #include "flow/max_min.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "util/artifact.hpp"
 #include "util/logging.hpp"
 #include "util/stats_accumulator.hpp"
@@ -399,14 +398,13 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
     };
 
     // --- event loop ----------------------------------------------
-    // Liveness marks: one heartbeat + epoch event every kEpochBatch
-    // event batches (never per flow), so the watchdog can tell a
-    // slow 100k-flow cell from a hung one. Purely passive.
+    // Liveness marks: one epoch event every kEpochBatch event
+    // batches (never per flow), so the watchdog can tell a slow
+    // 100k-flow cell from a hung one. Purely passive.
     constexpr std::uint64_t kEpochBatch = 2048;
     std::uint64_t batches = 0;
     while (i_arr < flows.size() || !active.empty()) {
         if (++batches % kEpochBatch == 0) {
-            obs::heartbeat();
             obs::recordEvent(obs::EventKind::SimEpoch,
                              static_cast<std::int64_t>(i_arr),
                              static_cast<std::int64_t>(active.size()),

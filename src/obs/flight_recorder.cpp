@@ -123,6 +123,21 @@ ThreadRing::record(EventKind kind, double t, std::int64_t a, std::int64_t b,
     e.kind = static_cast<std::uint16_t>(kind);
     copyTruncated(e.tag, sizeof(e.tag), tag);
     written_.store(i + 1, std::memory_order_release);
+    last_t_.store(t, std::memory_order_relaxed);
+}
+
+std::string
+ThreadRing::detail() const
+{
+    std::lock_guard<std::mutex> lock(detail_mutex_);
+    return detail_;
+}
+
+void
+ThreadRing::setDetail(std::string_view detail)
+{
+    std::lock_guard<std::mutex> lock(detail_mutex_);
+    copyTruncated(detail_, sizeof(detail_), detail);
 }
 
 void
@@ -140,6 +155,26 @@ ThreadRing::popPhase()
     const int depth = phase_depth_.load(std::memory_order_relaxed);
     if (depth > 0)
         phase_depth_.store(depth - 1, std::memory_order_release);
+}
+
+WorkerScope::WorkerScope(std::string_view label, std::string_view detail)
+{
+    FlightRecorder::attachCurrentThread(label);
+    ring_ = frdetail::tl_ring;
+    if (ring_ == nullptr)
+        return;
+    ring_->setDetail(detail);
+    // The event refreshes lastEventTime() before the ring turns busy,
+    // so the watchdog never measures a new cell from the old one's
+    // last event.
+    frdetail::recordSlow(ring_, EventKind::Heartbeat, 0, 0, detail);
+    ring_->busy_.store(true, std::memory_order_release);
+}
+
+WorkerScope::~WorkerScope()
+{
+    if (ring_ != nullptr)
+        ring_->busy_.store(false, std::memory_order_release);
 }
 
 void

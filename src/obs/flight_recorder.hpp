@@ -34,6 +34,12 @@
  * disabled. Rings are registered in a fixed-size lock-free table so
  * the async-signal-safe crash writer can walk them without taking a
  * mutex (see the async-signal-safety rules in util/logging.hpp).
+ *
+ * The rings double as the liveness signal of obs::Watchdog: each
+ * ring keeps the time of its last event, and a worker running a
+ * campaign cell holds a WorkerScope that marks its ring busy and
+ * names the design point it is on. A busy ring whose last event has
+ * gone stale is a hung worker; idle rings are never suspects.
  */
 
 #ifndef WSS_OBS_FLIGHT_RECORDER_HPP
@@ -42,6 +48,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <string>
 #include <string_view>
 
 namespace wss::obs {
@@ -58,7 +66,7 @@ enum class EventKind : std::uint16_t {
     FaultInjection,   ///< A fault transition was applied (tag = target).
     ArtifactWrite,    ///< An artifact file was written (tag = path tail).
     WarnOnce,         ///< A WSS_WARN_ONCE call site fired (tag = message head).
-    Heartbeat,        ///< Watchdog heartbeat detail change (tag = detail).
+    Heartbeat,        ///< WorkerScope opened (tag = detail).
     Panic,            ///< panic() fired (tag = message head).
     Fatal,            ///< fatal() fired (tag = message head).
     kCount
@@ -136,13 +144,35 @@ class ThreadRing
     /// NUL-terminated name of open phase @p i (< kMaxPhaseDepth).
     const char *phaseName(int i) const { return phase_names_[i]; }
 
+    /// FlightEvent::t of the newest event (0 before the first).
+    double lastEventTime() const
+    {
+        return last_t_.load(std::memory_order_relaxed);
+    }
+
+    /// True while the owner runs a campaign cell (WorkerScope).
+    /// Acquire: a busy ring's lastEventTime() is at least as new as
+    /// the event that opened the scope.
+    bool busy() const { return busy_.load(std::memory_order_acquire); }
+
+    /// What the owner is working on ("fig21 rep 2 rate 0.8"; cold,
+    /// mutex-guarded — written per cell, read per watchdog poll).
+    std::string detail() const;
+
   private:
+    friend class WorkerScope;
+    void setDetail(std::string_view detail);
+
     FlightEvent *slots_ = nullptr;
     std::size_t capacity_ = 0;
     std::atomic<std::uint64_t> written_{0};
+    std::atomic<double> last_t_{0.0};
+    std::atomic<bool> busy_{false};
     char label_[32] = {};
     std::atomic<int> phase_depth_{0};
     char phase_names_[kMaxPhaseDepth][kPhaseNameCap] = {};
+    mutable std::mutex detail_mutex_;
+    char detail_[96] = {};
 };
 
 namespace frdetail {
@@ -212,6 +242,27 @@ recordEvent(EventKind kind, std::int64_t a = 0, std::int64_t b = 0,
     if (ThreadRing *ring = frdetail::tl_ring)
         frdetail::recordSlow(ring, kind, a, b, tag);
 }
+
+/**
+ * Liveness scope of one campaign cell on the calling thread: attaches
+ * the thread's ring under @p label (idempotent — a thread keeps the
+ * label it first attached with), sets the ring's detail, recording
+ * an EventKind::Heartbeat event, and marks the ring busy; the
+ * destructor marks it idle again, so a worker waiting for work never
+ * reads as stalled. Cold: one per cell, never in a hot loop. No-op
+ * while the recorder is disabled.
+ */
+class WorkerScope
+{
+  public:
+    WorkerScope(std::string_view label, std::string_view detail);
+    ~WorkerScope();
+    WorkerScope(const WorkerScope &) = delete;
+    WorkerScope &operator=(const WorkerScope &) = delete;
+
+  private:
+    ThreadRing *ring_ = nullptr;
+};
 
 /// Profiler integration: maintain the open-phase stack *and* record
 /// a PhaseEnter/PhaseExit event. Called by Profiler::enter/exit.

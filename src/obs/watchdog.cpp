@@ -1,8 +1,8 @@
 #include "obs/watchdog.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -12,29 +12,8 @@
 #include "util/logging.hpp"
 
 namespace wss::obs {
-namespace wddetail {
-
-struct HeartbeatSlot
-{
-    std::atomic<std::uint64_t> last_beat_ns{0};
-    std::atomic<std::uint64_t> beats{0};
-    std::atomic<bool> active{false};
-    char label[32] = {};
-    /// Guards detail (written per design point, read per progress
-    /// render — both cold).
-    std::mutex detail_mutex;
-    char detail[96] = {};
-};
-
-thread_local HeartbeatSlot *tl_slot = nullptr;
-
-} // namespace wddetail
-
 namespace {
 
-using wddetail::HeartbeatSlot;
-
-constexpr std::size_t kMaxSlots = 256;
 constexpr std::size_t kProgressLineCap = 156;
 
 std::uint64_t
@@ -46,11 +25,6 @@ nowNs()
             .count());
 }
 
-std::atomic<bool> g_enabled{false};
-std::atomic<HeartbeatSlot *> g_slots[kMaxSlots]{};
-std::atomic<std::size_t> g_slot_count{0};
-std::mutex g_register_mutex;
-
 std::atomic<std::uint64_t> g_progress_total{0};
 std::atomic<std::uint64_t> g_progress_done{0};
 std::atomic<std::uint64_t> g_progress_epoch_ns{0};
@@ -61,14 +35,6 @@ std::condition_variable g_monitor_cv;
 bool g_monitor_running = false;
 bool g_monitor_stop = false;
 std::size_t g_last_line_len = 0;
-
-void
-copyTruncated(char *dst, std::size_t cap, std::string_view src)
-{
-    const std::size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
-    std::memcpy(dst, src.data(), n);
-    dst[n] = '\0';
-}
 
 /// Re-render the status line in place (no newline; the next log line
 /// simply starts after it, which is cosmetic).
@@ -96,34 +62,39 @@ eraseProgressLine()
     std::cerr << text << std::flush;
 }
 
-/// Stall diagnosis: the heartbeat table plus each flight-recorder
-/// ring's tail (events + open phase stack), one atomic stderr write.
+/// Seconds since @p ring's newest event.
+double
+ringAge(const ThreadRing &ring)
+{
+    const double age = FlightRecorder::now() - ring.lastEventTime();
+    return age > 0.0 ? age : 0.0;
+}
+
+/// Stall diagnosis: every ring's state (busy/idle, age of its last
+/// event, detail, open phase stack) and its tail, one atomic stderr
+/// write.
 std::string
 renderStallDump()
 {
     std::ostringstream os;
-    os << "watchdog: heartbeat table:\n";
-    for (const HeartbeatSnap &s : Watchdog::snapshot()) {
-        os << "  " << s.label << ": "
-           << (s.active ? "active" : "idle") << ", " << s.beats
-           << " beats, last " << std::fixed;
-        os.precision(2);
-        os << s.age_s << "s ago";
-        if (!s.detail.empty())
-            os << ", on '" << s.detail << "'";
-        os << "\n";
-    }
-    os << "watchdog: flight recorder tails:\n";
+    os << "watchdog: flight recorder rings:\n";
     const std::size_t rings = FlightRecorder::ringCount();
     if (rings == 0)
-        os << "  (flight recorder disabled or no threads attached)\n";
+        os << "  (no threads attached)\n";
     for (std::size_t i = 0; i < rings; ++i) {
         ThreadRing *ring = FlightRecorder::ring(i);
         if (ring == nullptr)
             continue;
         const std::uint64_t written = ring->written();
-        os << "  " << ring->label() << ": " << written
-           << " events, open phases:";
+        os << "  " << ring->label() << ": "
+           << (ring->busy() ? "busy" : "idle") << ", last event "
+           << std::fixed;
+        os.precision(2);
+        os << ringAge(*ring) << " s ago";
+        const std::string detail = ring->detail();
+        if (!detail.empty())
+            os << ", on '" << detail << "'";
+        os << ", " << written << " events, open phases:";
         const int depth = ring->phaseDepth();
         const int named = depth < ThreadRing::kMaxPhaseDepth
                               ? depth
@@ -194,80 +165,6 @@ monitorLoop(double stall_timeout_s, bool progress, double progress_period_s)
 
 } // namespace
 
-namespace wddetail {
-
-void
-beatSlow(HeartbeatSlot *slot)
-{
-    slot->last_beat_ns.store(nowNs(), std::memory_order_relaxed);
-    slot->beats.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace wddetail
-
-void
-Watchdog::enableHeartbeats()
-{
-    g_enabled.store(true, std::memory_order_release);
-}
-
-bool
-Watchdog::heartbeatsEnabled()
-{
-    return g_enabled.load(std::memory_order_acquire);
-}
-
-void
-Watchdog::registerCurrentThread(std::string_view label)
-{
-    if (!heartbeatsEnabled() || wddetail::tl_slot != nullptr)
-        return;
-    std::lock_guard<std::mutex> lock(g_register_mutex);
-    const std::size_t i = g_slot_count.load(std::memory_order_relaxed);
-    if (i >= kMaxSlots) {
-        WSS_WARN_ONCE("watchdog: heartbeat table full (", kMaxSlots,
-                      " threads) — further threads are unmonitored");
-        return;
-    }
-    HeartbeatSlot *slot = new HeartbeatSlot;
-    copyTruncated(slot->label, sizeof(slot->label), label);
-    slot->last_beat_ns.store(nowNs(), std::memory_order_relaxed);
-    slot->active.store(true, std::memory_order_relaxed);
-    g_slots[i].store(slot, std::memory_order_release);
-    g_slot_count.store(i + 1, std::memory_order_release);
-    wddetail::tl_slot = slot;
-}
-
-void
-Watchdog::setThreadDetail(std::string_view detail)
-{
-    HeartbeatSlot *slot = wddetail::tl_slot;
-    if (slot == nullptr)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(slot->detail_mutex);
-        copyTruncated(slot->detail, sizeof(slot->detail), detail);
-    }
-    wddetail::beatSlow(slot);
-    recordEvent(EventKind::Heartbeat, 0, 0, detail);
-}
-
-void
-Watchdog::markThreadIdle()
-{
-    if (HeartbeatSlot *slot = wddetail::tl_slot)
-        slot->active.store(false, std::memory_order_relaxed);
-}
-
-void
-Watchdog::markThreadActive()
-{
-    if (HeartbeatSlot *slot = wddetail::tl_slot) {
-        wddetail::beatSlow(slot);
-        slot->active.store(true, std::memory_order_relaxed);
-    }
-}
-
 void
 Watchdog::setProgressTotal(std::uint64_t total)
 {
@@ -298,7 +195,7 @@ void
 Watchdog::start(double stall_timeout_s, bool progress,
                 double progress_period_s)
 {
-    enableHeartbeats();
+    FlightRecorder::enable();
     std::lock_guard<std::mutex> lock(g_monitor_mutex);
     if (g_monitor_running)
         return;
@@ -326,45 +223,24 @@ Watchdog::stop()
     eraseProgressLine();
 }
 
-std::vector<HeartbeatSnap>
-Watchdog::snapshot()
-{
-    std::vector<HeartbeatSnap> out;
-    const std::uint64_t now = nowNs();
-    const std::size_t n = g_slot_count.load(std::memory_order_acquire);
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        HeartbeatSlot *slot = g_slots[i].load(std::memory_order_acquire);
-        if (slot == nullptr)
-            continue;
-        HeartbeatSnap s;
-        s.label = slot->label;
-        {
-            std::lock_guard<std::mutex> lock(slot->detail_mutex);
-            s.detail = slot->detail;
-        }
-        s.beats = slot->beats.load(std::memory_order_relaxed);
-        const std::uint64_t last =
-            slot->last_beat_ns.load(std::memory_order_relaxed);
-        s.age_s = last <= now ? (now - last) * 1.0e-9 : 0.0;
-        s.active = slot->active.load(std::memory_order_relaxed);
-        out.push_back(std::move(s));
-    }
-    return out;
-}
-
 std::string
 Watchdog::checkStalls(double stall_timeout_s)
 {
-    for (const HeartbeatSnap &s : snapshot()) {
-        if (!s.active || s.age_s <= stall_timeout_s)
+    const std::size_t rings = FlightRecorder::ringCount();
+    for (std::size_t i = 0; i < rings; ++i) {
+        const ThreadRing *ring = FlightRecorder::ring(i);
+        if (ring == nullptr || !ring->busy())
+            continue;
+        const double age = ringAge(*ring);
+        if (age <= stall_timeout_s)
             continue;
         std::ostringstream os;
-        os << s.label << ": no heartbeat for " << std::fixed;
+        os << ring->label() << ": no progress for " << std::fixed;
         os.precision(2);
-        os << s.age_s << "s (timeout " << stall_timeout_s << "s)";
-        if (!s.detail.empty())
-            os << " while on '" << s.detail << "'";
+        os << age << " s (timeout " << stall_timeout_s << " s)";
+        const std::string detail = ring->detail();
+        if (!detail.empty())
+            os << " while on '" << detail << "'";
         return os.str();
     }
     return "";
@@ -396,10 +272,14 @@ Watchdog::renderProgressLine()
             os << eta << "s";
         }
     }
-    for (const HeartbeatSnap &s : snapshot()) {
-        if (!s.active || s.detail.empty())
+    const std::size_t rings = FlightRecorder::ringCount();
+    for (std::size_t i = 0; i < rings; ++i) {
+        const ThreadRing *ring = FlightRecorder::ring(i);
+        if (ring == nullptr || !ring->busy())
             continue;
-        os << " | " << s.label << " " << s.detail;
+        const std::string detail = ring->detail();
+        if (!detail.empty())
+            os << " | " << ring->label() << " " << detail;
     }
     std::string line = os.str();
     if (line.size() > kProgressLineCap) {
@@ -413,13 +293,6 @@ void
 Watchdog::resetForTesting()
 {
     stop();
-    std::lock_guard<std::mutex> lock(g_register_mutex);
-    wddetail::tl_slot = nullptr;
-    g_enabled.store(false, std::memory_order_release);
-    const std::size_t n = g_slot_count.load(std::memory_order_relaxed);
-    g_slot_count.store(0, std::memory_order_release);
-    for (std::size_t i = 0; i < n; ++i)
-        delete g_slots[i].exchange(nullptr, std::memory_order_acq_rel);
     g_progress_total.store(0, std::memory_order_relaxed);
     g_progress_done.store(0, std::memory_order_relaxed);
 }

@@ -2,31 +2,28 @@
  * @file
  * Liveness watchdog and live progress for long-running campaigns.
  *
- * Every worker that does real work publishes heartbeats into a
- * process-wide registry: exec::Campaign / exec::SweepRunner workers
- * beat once per cell and label themselves with the design point they
- * are on; flow::simulateFlows beats every few thousand event-loop
- * iterations; the coll:: execution loops beat per collective step.
- * Two consumers ride on the same data:
+ * The watchdog reads the flight-recorder rings (obs::FlightRecorder);
+ * it keeps no per-thread state of its own. A campaign worker holds an
+ * obs::WorkerScope for each cell, which marks its ring busy and names
+ * the design point; simulateFlows, the coll:: execution loops and the
+ * cycle-accurate simulator record epoch events as they go, and every
+ * event refreshes the ring's last-event time. Two consumers ride on
+ * that data:
  *
  *   - a monitor thread (Watchdog::start with a stall timeout) that
- *     detects a worker whose heartbeat has gone stale, dumps the
- *     heartbeat table plus each flight-recorder ring's tail to
- *     stderr, and panic()s with the culprit named — so a hung
- *     10k-job campaign produces a diagnosis (and, with
- *     obs::CrashDump installed, a crash.json post-mortem) instead of
- *     sitting silent forever;
+ *     detects a busy ring whose last event has gone stale, dumps
+ *     every ring's state and tail to stderr, and panic()s with the
+ *     culprit named — so a hung 10k-job campaign produces a diagnosis
+ *     (and, with obs::CrashDump installed, a crash.json post-mortem)
+ *     instead of sitting silent forever;
  *   - a `--progress` status line (jobs done/total, percent, ETA,
  *     per-worker current design point), re-rendered in place on
  *     stderr at a fixed period.
  *
- * The contract matches the flight recorder: disabled (the default)
- * heartbeat() is one predicted branch on a thread-local pointer;
- * registration is cold and idempotent; publishing a beat is two
- * relaxed atomic stores plus a clock read, taken at call sites that
- * run at most once per event batch, never per flit. Heartbeats never
- * influence results — runs are bit-identical with the watchdog on or
- * off.
+ * Liveness costs nothing beyond the recorder's own contract: with the
+ * recorder disabled every call site is one predicted branch, and the
+ * watchdog never influences results — runs are bit-identical with it
+ * on or off.
  *
  * Stall detection itself is testable without dying:
  * Watchdog::checkStalls() returns the culprit description (empty
@@ -37,66 +34,14 @@
 #ifndef WSS_OBS_WATCHDOG_HPP
 #define WSS_OBS_WATCHDOG_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace wss::obs {
-
-namespace wddetail {
-
-struct HeartbeatSlot;
-
-/// Null while this thread is unregistered or heartbeats are
-/// disabled — the one predicted branch of the disabled contract.
-extern thread_local HeartbeatSlot *tl_slot;
-
-/// Slow path: clock read + relaxed stores into the slot.
-void beatSlow(HeartbeatSlot *slot);
-
-} // namespace wddetail
-
-/// Point-in-time view of one heartbeat slot (Watchdog::snapshot).
-struct HeartbeatSnap
-{
-    std::string label;
-    /// Current design-point / step description ("" when none).
-    std::string detail;
-    std::uint64_t beats = 0;
-    /// Seconds since the last beat.
-    double age_s = 0.0;
-    /// False once the thread declared itself idle (idle threads are
-    /// never stall culprits).
-    bool active = false;
-};
 
 class Watchdog
 {
   public:
-    /// Turn the heartbeat registry on. Idempotent. Both the monitor
-    /// and the progress line require this; threads still have to
-    /// registerCurrentThread() before their beats are kept.
-    static void enableHeartbeats();
-
-    static bool heartbeatsEnabled();
-
-    /// Register the calling thread under @p label (cold, idempotent,
-    /// no-op while heartbeats are disabled). The thread starts
-    /// active with a fresh beat.
-    static void registerCurrentThread(std::string_view label);
-
-    /// Describe what the calling thread is working on ("fig21 rep 2
-    /// rate 0.80"). Cold: takes the slot mutex, records an
-    /// EventKind::Heartbeat flight-recorder event.
-    static void setThreadDetail(std::string_view detail);
-
-    /// Mark the calling thread idle (waiting for work) / active.
-    /// Idle threads are skipped by stall detection.
-    static void markThreadIdle();
-    static void markThreadActive();
-
     /// Campaign progress for the status line: total cells in the
     /// current run, and completions as they happen.
     static void setProgressTotal(std::uint64_t total);
@@ -106,11 +51,12 @@ class Watchdog
 
     /**
      * Start the monitor thread. @p stall_timeout_s > 0 arms stall
-     * detection: an *active* slot whose last beat is older than the
+     * detection: a *busy* ring whose last event is older than the
      * timeout triggers a diagnostic dump and panic() naming the
      * culprit. @p progress additionally re-renders the status line
-     * on stderr every @p progress_period_s. Implies
-     * enableHeartbeats(). No-op if already running.
+     * on stderr every @p progress_period_s. Enables the flight
+     * recorder (default capacity) if it is off. No-op if already
+     * running.
      */
     static void start(double stall_timeout_s, bool progress,
                       double progress_period_s = 0.5);
@@ -118,14 +64,12 @@ class Watchdog
     /// Join the monitor thread and erase the progress line.
     static void stop();
 
-    /// All registered slots, registration order.
-    static std::vector<HeartbeatSnap> snapshot();
-
     /**
      * The monitor's core, exposed for tests: the description of the
-     * first active slot whose last beat is older than
-     * @p stall_timeout_s ("worker-3: no heartbeat for 1.2s ..."),
-     * or "" when every active thread is live.
+     * first busy ring whose last event is older than
+     * @p stall_timeout_s ("worker-3: no progress for 1.20 s (timeout
+     * 1.00 s) while on 'fig21 rep 2 rate 0.8'"), or "" when every
+     * busy ring is live.
      */
     static std::string checkStalls(double stall_timeout_s);
 
@@ -133,22 +77,9 @@ class Watchdog
     /// the leading carriage return.
     static std::string renderProgressLine();
 
-    /// Stop the monitor, drop every slot, zero the progress
-    /// counters, disable heartbeats. Test-only: no other thread may
-    /// be beating.
+    /// Stop the monitor and zero the progress counters. Test-only.
     static void resetForTesting();
 };
-
-/**
- * Publish one heartbeat for the calling thread. Unregistered
- * threads pay exactly one predicted branch.
- */
-inline void
-heartbeat()
-{
-    if (wddetail::HeartbeatSlot *slot = wddetail::tl_slot)
-        wddetail::beatSlow(slot);
-}
 
 } // namespace wss::obs
 

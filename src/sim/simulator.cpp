@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "util/logging.hpp"
 
 namespace wss::sim {
@@ -319,7 +318,6 @@ Simulator::run()
         // cycle, so the hot loop stays at PR-4 speed; long fabric
         // replays still publish progress for the watchdog.
         if ((now & 0xffff) == 0xffff) {
-            obs::heartbeat();
             obs::recordEvent(obs::EventKind::SimEpoch, now,
                              measured_created_ - measured_finished_,
                              "sim-cycle");

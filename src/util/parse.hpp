@@ -9,13 +9,16 @@
  * kill a long campaign), but an explicit command-line argument is a
  * stated intent, so a malformed one is a fatal error — silently
  * running with a different seed or rank count than the user asked
- * for would poison every artifact downstream.
+ * for would poison every artifact downstream. Durations follow the
+ * same rule: a finite decimal above zero, nothing else.
  */
 
 #ifndef WSS_UTIL_PARSE_HPP
 #define WSS_UTIL_PARSE_HPP
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -45,6 +48,32 @@ parsePositiveInt(const std::string &value, const char *what,
         fatal(what, "='", value, "' is not a positive integer (1..",
               max, ")");
     return static_cast<std::int64_t>(n);
+}
+
+/**
+ * Parse @p value as a finite decimal number of seconds above 0
+ * ("30", "0.2", "1e-3"). fatal() — naming @p what and echoing the
+ * offending text — on anything else: empty, non-numeric, trailing
+ * junk, signs, whitespace, hex, "nan", "inf", zero, or out of range.
+ */
+inline double
+parsePositiveSeconds(const std::string &value, const char *what)
+{
+    const char *text = value.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double s = std::strtod(text, &end);
+    // strtod alone would accept " 1", "1x", "nan", "inf" and "0x1p3";
+    // require a plain decimal that starts with a digit or a point.
+    const bool decimal =
+        (std::isdigit(static_cast<unsigned char>(text[0])) ||
+         text[0] == '.') &&
+        value.find_first_not_of("0123456789.eE+-") == std::string::npos;
+    if (!decimal || errno != 0 || end == text || *end != '\0' ||
+        !std::isfinite(s) || !(s > 0.0))
+        fatal(what, "='", value,
+              "' is not a positive number of seconds");
+    return s;
 }
 
 } // namespace wss::util

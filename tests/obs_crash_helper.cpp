@@ -20,8 +20,9 @@
  *       child dereferences nullptr: the async-signal-safe SIGSEGV
  *       handler writes the dump and re-raises.
  *   obs_crash_helper --mode stall --watchdog-timeout 0.2
- *       child registers a heartbeat then sleeps: the watchdog
- *       monitor dumps its diagnosis and panic()s naming the culprit.
+ *       child marks its ring busy, then sleeps without recording:
+ *       the watchdog monitor dumps its diagnosis and panic()s
+ *       naming the culprit.
  */
 
 #include <sys/wait.h>
@@ -39,6 +40,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/watchdog.hpp"
 #include "util/logging.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -52,7 +54,8 @@ runDoomed(const std::string &mode, const std::string &crash_path,
           double stall_timeout_s)
 {
     obs::FlightRecorder::enable(128);
-    obs::FlightRecorder::attachCurrentThread("main");
+    obs::FlightRecorder::attachCurrentThread(mode == "stall" ? "sleeper"
+                                                             : "main");
     if (!crash_path.empty()) {
         obs::CrashDump::install(crash_path);
         obs::CrashDump::setTool("obs_crash_helper " + mode);
@@ -73,11 +76,10 @@ runDoomed(const std::string &mode, const std::string &crash_path,
         return *p; // SIGSEGV -> CrashDump handler -> re-raise
     }
     if (mode == "stall") {
-        obs::Watchdog::enableHeartbeats();
-        obs::Watchdog::registerCurrentThread("sleeper");
-        obs::Watchdog::setThreadDetail("sleeping instead of working");
+        const obs::WorkerScope busy("sleeper",
+                                    "sleeping instead of working");
         obs::Watchdog::start(stall_timeout_s, false, 0.01);
-        // Never beats again: the monitor thread must notice within
+        // Records nothing more: the monitor thread must notice within
         // the (sub-second) timeout and abort the process.
         std::this_thread::sleep_for(std::chrono::seconds(60));
     }
@@ -109,7 +111,8 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--crash-dump") == 0)
             crash_path = argv[i + 1];
         else if (std::strcmp(argv[i], "--watchdog-timeout") == 0)
-            stall_timeout_s = std::stod(argv[i + 1]);
+            stall_timeout_s = util::parsePositiveSeconds(
+                argv[i + 1], "--watchdog-timeout");
     }
     if (mode.empty()) {
         std::fprintf(stderr,

@@ -1462,8 +1462,6 @@ TEST(FlightRecorder, SimResultsAreBitIdenticalWithRecorderOnOrOff)
 
     FlightRecorder::enable(256);
     FlightRecorder::attachCurrentThread("sim");
-    Watchdog::enableHeartbeats();
-    Watchdog::registerCurrentThread("sim");
     const sim::SimResult on_result = run();
     // The instrumented run actually recorded something…
     EXPECT_GT(FlightRecorder::kindCount(EventKind::SimEpoch), 0u);
@@ -1498,9 +1496,6 @@ TEST(FlightRecorder, CampaignResultsAreBitIdenticalWithRecorderOnOrOff)
 
     FlightRecorder::enable(512);
     FlightRecorder::attachCurrentThread("main");
-    Watchdog::enableHeartbeats();
-    Watchdog::registerCurrentThread("main");
-    Watchdog::markThreadIdle();
     exec::Campaign traced;
     traced.addSweep("uniform", tinySweepJob());
     exec::ThreadPool pool_on(2);
@@ -1533,83 +1528,126 @@ TEST(FlightRecorder, CampaignResultsAreBitIdenticalWithRecorderOnOrOff)
 // Watchdog
 // ---------------------------------------------------------------------
 
-TEST(Watchdog, HeartbeatIsANoOpWhileUnregistered)
-{
-    ObsReset guard;
-    heartbeat(); // must not crash, must not register anything
-    Watchdog::registerCurrentThread("ignored"); // disabled -> no-op
-    EXPECT_FALSE(Watchdog::heartbeatsEnabled());
-    EXPECT_TRUE(Watchdog::snapshot().empty());
-}
-
 TEST(Watchdog, SnapshotTracksBeatsDetailAndIdleState)
 {
     ObsReset guard;
-    Watchdog::enableHeartbeats();
-    Watchdog::registerCurrentThread("worker-0");
-    Watchdog::setThreadDetail("uniform rep 1 rate 0.4");
-    heartbeat();
-    heartbeat();
+    FlightRecorder::enable(64);
+    {
+        const WorkerScope scope("worker-0", "uniform rep 1 rate 0.4");
+        ASSERT_EQ(FlightRecorder::ringCount(), 1u);
+        const ThreadRing &ring = *FlightRecorder::ring(0);
+        EXPECT_STREQ(ring.label(), "worker-0");
+        EXPECT_EQ(ring.detail(), "uniform rep 1 rate 0.4");
+        EXPECT_TRUE(ring.busy());
+        EXPECT_EQ(FlightRecorder::kindCount(EventKind::Heartbeat), 1u);
 
-    auto snaps = Watchdog::snapshot();
-    ASSERT_EQ(snaps.size(), 1u);
-    EXPECT_EQ(snaps[0].label, "worker-0");
-    EXPECT_EQ(snaps[0].detail, "uniform rep 1 rate 0.4");
-    // register + setThreadDetail + 2 explicit beats
-    EXPECT_GE(snaps[0].beats, 3u);
-    EXPECT_TRUE(snaps[0].active);
-    EXPECT_LT(snaps[0].age_s, 5.0);
-
-    Watchdog::markThreadIdle();
-    EXPECT_FALSE(Watchdog::snapshot()[0].active);
-    Watchdog::markThreadActive();
-    EXPECT_TRUE(Watchdog::snapshot()[0].active);
+        // Busy for longer than the timeout in total, but every check
+        // follows a fresh event: the watchdog measures the age of the
+        // ring's last event, not the age of the scope.
+        for (int i = 0; i < 6; ++i) {
+            const double before = ring.lastEventTime();
+            std::this_thread::sleep_for(std::chrono::milliseconds(60));
+            recordEvent(EventKind::SimEpoch, i);
+            EXPECT_GT(ring.lastEventTime(), before);
+            EXPECT_EQ(Watchdog::checkStalls(0.25), "");
+        }
+    }
+    EXPECT_FALSE(FlightRecorder::ring(0)->busy());
 }
 
 TEST(Watchdog, CheckStallsNamesTheCulpritAndSparesIdleThreads)
 {
     ObsReset guard;
-    Watchdog::enableHeartbeats();
-    Watchdog::registerCurrentThread("worker-3");
-    Watchdog::setThreadDetail("fig21 rep 2 rate 0.8");
-    EXPECT_EQ(Watchdog::checkStalls(10.0), "");
+    FlightRecorder::enable(64);
+    {
+        const WorkerScope scope("worker-3", "fig21 rep 2 rate 0.8");
+        EXPECT_EQ(Watchdog::checkStalls(10.0), "");
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    const std::string culprit = Watchdog::checkStalls(0.005);
-    EXPECT_NE(culprit.find("worker-3"), std::string::npos);
-    EXPECT_NE(culprit.find("no heartbeat"), std::string::npos);
-    EXPECT_NE(culprit.find("fig21 rep 2 rate 0.8"), std::string::npos);
-
-    // A fresh beat clears the stall…
-    heartbeat();
-    EXPECT_EQ(Watchdog::checkStalls(1.0), "");
-    // …and an idle thread is never a culprit, however stale.
-    Watchdog::markThreadIdle();
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        const std::string culprit = Watchdog::checkStalls(0.01);
+        EXPECT_EQ(culprit.rfind("worker-3: no progress for ", 0), 0u)
+            << culprit;
+        EXPECT_NE(culprit.find("(timeout 0.01 s)"), std::string::npos)
+            << culprit;
+        EXPECT_NE(culprit.find("while on 'fig21 rep 2 rate 0.8'"),
+                  std::string::npos)
+            << culprit;
+    }
+    // An idle ring is never a culprit, however stale…
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(Watchdog::checkStalls(0.001), "");
+
+    // …and a thread that attached without a WorkerScope (the CLI main
+    // thread) stays idle until it runs a cell itself, under the label
+    // it first attached with.
+    std::thread([] {
+        FlightRecorder::attachCurrentThread("main");
+        recordEvent(EventKind::JobStart);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        EXPECT_EQ(Watchdog::checkStalls(0.001), "");
+        const WorkerScope scope("caller", "uniform rep 0 rate 0.1");
+        EXPECT_TRUE(FlightRecorder::ring(1)->busy());
+        EXPECT_STREQ(FlightRecorder::ring(1)->label(), "main");
+    }).join();
+    EXPECT_FALSE(FlightRecorder::ring(1)->busy());
     EXPECT_EQ(Watchdog::checkStalls(0.001), "");
 }
 
 TEST(Watchdog, ProgressLineReportsJobsAndActiveWorkers)
 {
     ObsReset guard;
-    Watchdog::enableHeartbeats();
+    FlightRecorder::enable(64);
     Watchdog::setProgressTotal(40);
     Watchdog::addProgressDone(12);
     EXPECT_EQ(Watchdog::progressTotal(), 40u);
     EXPECT_EQ(Watchdog::progressDone(), 12u);
 
-    Watchdog::registerCurrentThread("worker-1");
-    Watchdog::setThreadDetail("tornado rep 0 rate 0.7");
-    const std::string line = Watchdog::renderProgressLine();
-    EXPECT_NE(line.find("jobs 12/40"), std::string::npos);
-    EXPECT_NE(line.find("30.0%"), std::string::npos);
-    EXPECT_NE(line.find("worker-1 tornado rep 0 rate 0.7"),
-              std::string::npos);
-
+    // A worker that finished its cell: idle, detail left behind.
+    std::thread([] {
+        const WorkerScope scope("worker-2", "hotspot rep 1 rate 0.2");
+    }).join();
+    {
+        const WorkerScope scope("worker-1", "tornado rep 0 rate 0.7");
+        const std::string line = Watchdog::renderProgressLine();
+        EXPECT_NE(line.find("jobs 12/40"), std::string::npos) << line;
+        EXPECT_NE(line.find("30.0%"), std::string::npos) << line;
+        EXPECT_NE(line.find("worker-1 tornado rep 0 rate 0.7"),
+                  std::string::npos)
+            << line;
+        EXPECT_EQ(line.find("worker-2"), std::string::npos) << line;
+    }
     // Idle workers drop off the line.
-    Watchdog::markThreadIdle();
     EXPECT_EQ(Watchdog::renderProgressLine().find("worker-1"),
               std::string::npos);
+}
+
+TEST(Watchdog, CampaignLeavesNoRingBusy)
+{
+    ObsReset guard;
+    FlightRecorder::enable(512);
+    FlightRecorder::attachCurrentThread("main");
+    exec::Campaign campaign;
+    campaign.addSweep("uniform", tinySweepJob());
+    campaign.addTask("solve", [] {});
+    exec::ThreadPool pool(2);
+    // The monitor polls the rings (stall check + progress line) every
+    // 10 ms while the workers write them: the race the tsan preset
+    // checks.
+    Watchdog::start(60.0, true, 0.01);
+    for (int run = 0; run < 5; ++run)
+        campaign.run(&pool);
+    Watchdog::stop();
+
+    // Every cell opened a WorkerScope (one heartbeat event each) and
+    // every scope closed again: a leaked scope would leave its ring
+    // busy and read as a stall at any timeout.
+    EXPECT_EQ(FlightRecorder::kindCount(EventKind::Heartbeat),
+              FlightRecorder::kindCount(EventKind::JobStart));
+    ASSERT_GE(FlightRecorder::ringCount(), 1u);
+    for (std::size_t i = 0; i < FlightRecorder::ringCount(); ++i)
+        EXPECT_FALSE(FlightRecorder::ring(i)->busy())
+            << FlightRecorder::ring(i)->label();
+    EXPECT_EQ(Watchdog::checkStalls(1e-9), "");
 }
 
 TEST(Watchdog, MonitorThreadStartsAndStopsCleanly)
@@ -1617,7 +1655,7 @@ TEST(Watchdog, MonitorThreadStartsAndStopsCleanly)
     ObsReset guard;
     Watchdog::start(0.0, false, 0.01); // no stall arm, no progress
     Watchdog::start(0.0, false, 0.01); // idempotent while running
-    EXPECT_TRUE(Watchdog::heartbeatsEnabled());
+    EXPECT_TRUE(FlightRecorder::enabled());
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     Watchdog::stop();
     Watchdog::stop(); // idempotent when stopped
@@ -1812,10 +1850,7 @@ TEST(CrashDumpDiesLoudly, WatchdogStallAbortsNamingTheCulprit)
     EXPECT_DEATH(
         {
             FlightRecorder::enable(64);
-            FlightRecorder::attachCurrentThread("sleeper");
-            Watchdog::enableHeartbeats();
-            Watchdog::registerCurrentThread("sleeper");
-            Watchdog::setThreadDetail("pretending to work");
+            const WorkerScope busy("sleeper", "pretending to work");
             Watchdog::start(0.05, false, 0.01);
             std::this_thread::sleep_for(std::chrono::seconds(10));
         },

@@ -352,5 +352,37 @@ TEST(ParsePositiveInt, RejectsEverythingElseLoudly)
                  "--x");
 }
 
+TEST(ParsePositiveSeconds, AcceptsFiniteDecimalsAboveZero)
+{
+    EXPECT_EQ(util::parsePositiveSeconds("30", "--x"), 30.0);
+    EXPECT_EQ(util::parsePositiveSeconds("0.2", "--x"), 0.2);
+    EXPECT_EQ(util::parsePositiveSeconds(".5", "--x"), 0.5);
+    EXPECT_EQ(util::parsePositiveSeconds("1e-3", "--x"), 1e-3);
+}
+
+TEST(ParsePositiveSeconds, RejectsEverythingElseLoudly)
+{
+    // std::stod would throw on "abc", read "nan" as a timeout that
+    // never fires, and take "1x" as 1: each is fatal here instead.
+    EXPECT_DEATH(util::parsePositiveSeconds("abc", "--watchdog"),
+                 "--watchdog='abc' is not a positive number of seconds");
+    EXPECT_DEATH(util::parsePositiveSeconds("nan", "--watchdog"),
+                 "--watchdog='nan'");
+    EXPECT_DEATH(util::parsePositiveSeconds("inf", "--watchdog"),
+                 "--watchdog='inf'");
+    EXPECT_DEATH(util::parsePositiveSeconds("1x", "--watchdog"),
+                 "--watchdog='1x'");
+    EXPECT_DEATH(util::parsePositiveSeconds("0", "--watchdog"),
+                 "--watchdog='0'");
+    EXPECT_DEATH(util::parsePositiveSeconds("-1", "--watchdog"),
+                 "--watchdog='-1'");
+    EXPECT_DEATH(util::parsePositiveSeconds(" 1", "--watchdog"),
+                 "--watchdog=' 1'");
+    EXPECT_DEATH(util::parsePositiveSeconds("", "--watchdog"),
+                 "--watchdog=''");
+    EXPECT_DEATH(util::parsePositiveSeconds("0x1p3", "--x"), "--x");
+    EXPECT_DEATH(util::parsePositiveSeconds("1e999", "--x"), "--x");
+}
+
 } // namespace
 } // namespace wss

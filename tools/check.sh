@@ -232,9 +232,10 @@ python3 tools/bench_compare.py "$OBS_TMP/BENCH_dcn_a.json" \
     "$OBS_TMP/BENCH_dcn_b.json" --require-identical --max-regress 100
 
 echo "== watchdog smoke: stalled worker diagnosed in under a second =="
-# The helper forks a worker that registers a heartbeat and then
-# sleeps; the watchdog must dump its diagnosis and abort within the
-# 0.2 s timeout. The helper exits 0 only when the death matched.
+# The helper forks a worker whose flight-recorder ring is busy but
+# records nothing; the watchdog must dump its diagnosis and abort
+# within the 0.2 s timeout. The helper exits 0 only when the death
+# matched.
 build/tests/obs_crash_helper --mode stall --watchdog-timeout 0.2
 echo "watchdog stall smoke green"
 
@@ -251,13 +252,20 @@ grep -q "## Post-mortem" "$OBS_TMP/crash_report.md"
 echo "crash post-mortem pipeline green"
 
 echo "== progress smoke: campaign with the live status line =="
-# --progress and --watchdog ride the same heartbeat registry as the
+# --progress and --watchdog read the same flight-recorder rings as the
 # stall detector; a healthy run must finish cleanly with both armed.
+# The sweep covers the campaign/sweep-runner liveness path, the dcn
+# run the flow event loop's epoch events.
 build/tools/wss sweep --ports 128 --patterns uniform --measure 1000 \
     --points 3 --jobs 2 --progress --watchdog 30 --flight-recorder \
     --crash-dump "$OBS_TMP/sweep_crash.json" > /dev/null
+build/tools/wss dcn --ws-ports 256 --conv-ports 64 --hosts 64 \
+    --flows 5000 --workloads websearch --loads 0.5 --jobs 2 \
+    --profiles "$OBS_TMP/profiles" --progress --watchdog 30 \
+    --crash-dump "$OBS_TMP/dcn_crash.json" > /dev/null
 # A clean run must leave no crash dump behind.
 test ! -s "$OBS_TMP/sweep_crash.json"
+test ! -s "$OBS_TMP/dcn_crash.json"
 echo "progress + watchdog smoke green"
 
 echo "check.sh: all green"

@@ -30,6 +30,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coll/campaign.hpp"
@@ -119,20 +120,6 @@ class Args
     std::map<std::string, std::string> values_;
 };
 
-/// Artifact bookkeeping for --manifest-out: each file a subcommand
-/// writes is noted (path, kind) so the manifest inventory covers
-/// everything the run produced.
-struct ArtifactLog
-{
-    std::vector<std::pair<std::string, std::string>> entries;
-
-    void
-    note(const std::string &path, const std::string &kind)
-    {
-        entries.emplace_back(path, kind);
-    }
-};
-
 /// True for flags that only say *where* outputs go: they are not
 /// part of a run's identity (the same run pointed at a different
 /// directory must hash identically).
@@ -145,123 +132,78 @@ isOutputPathFlag(const std::string &key)
             key.compare(key.size() - 4, 4, "-out") == 0);
 }
 
-/// Write the provenance manifest of one subcommand invocation:
-/// every non-output CLI flag verbatim (arg.<key>), the resolved
-/// seed and worker count, the artifact inventory, and the
-/// profiler's phase timings.
-void
-writeManifest(const Args &args, const std::string &tool,
-              std::uint64_t seed, int jobs,
-              const ArtifactLog &artifacts,
-              const obs::Profiler &profiler)
-{
-    const std::string path = args.str("manifest-out", "");
-    if (path.empty())
-        fatal(tool, ": --manifest-out needs a file path");
-    obs::RunManifest manifest(tool);
-    for (const auto &[key, value] : args.all())
-        if (!isOutputPathFlag(key))
-            manifest.setConfig("arg." + key, value);
-    manifest.setSeed(seed);
-    manifest.setJobs(jobs);
-    for (const auto &[artifact_path, kind] : artifacts.entries)
-        manifest.addArtifact(artifact_path, kind);
-    manifest.setProfile(profiler);
-    manifest.writeJsonFile(path);
-    std::ostringstream identity;
-    identity << std::hex << manifest.identityHash();
-    std::cout << "manifest written to " << path << " (identity 0x"
-              << identity.str() << ", " << artifacts.entries.size()
-              << " artifacts)\n";
-}
-
-/// Shared tail of every profiled subcommand: print the self-time
-/// table with --profile, and lay the aggregate out as spans on its
-/// own trace track when tracing.
-void
-finishProfile(const Args &args, obs::Profiler &profiler,
-              obs::TraceEventSink *trace)
-{
-    if (args.has("profile"))
-        profiler.writeSummary(std::cout);
-    if (trace && !profiler.phases().empty())
-        profiler.addToTrace(*trace, trace->allocateTrack("profile"));
-}
-
 /**
- * RAII wiring for the observability flags shared by every
- * campaign-shaped subcommand (sim / sweep / resilience / dcn / coll):
+ * The observability session of one campaign-shaped subcommand (sim /
+ * sweep / resilience / dcn / coll): the one place `wss` handles the
+ * observability flags and owns the state behind them.
  *
+ *   --profile              print the phase self-time table
+ *   --trace-out run.json   Chrome-trace timeline (Perfetto-loadable)
+ *   --manifest-out m.json  provenance manifest: every non-output
+ *                          flag, seed, worker count, the artifact
+ *                          inventory and the phase timings (the
+ *                          input to `wss report`)
  *   --flight-recorder [N]  per-thread flight-recorder rings
  *                          (N events/thread, default 4096)
  *   --crash-dump c.json    install crash handlers: panic(), fatal()
  *                          and fatal signals write a c.json
  *                          post-mortem (`wss report --crash c.json`)
  *   --watchdog SECONDS     monitor thread aborts — with a diagnostic
- *                          dump — when any active worker goes
- *                          SECONDS without a heartbeat
+ *                          dump — when a busy worker records no event
+ *                          for SECONDS
  *   --progress             live status line on stderr (jobs
  *                          done/total, ETA, per-worker design point)
  *
- * --crash-dump, --watchdog and --progress all imply the flight
- * recorder: their dumps and status lines read its rings. All of it
- * is passive — results are bit-identical with the recorder on or off
- * (asserted by test_obs).
+ * The constructor validates every flag, --stats-out included, before
+ * any work runs; finish() prints the profile table, writes the trace
+ * and then the manifest. --crash-dump, --watchdog and --progress all
+ * imply the flight recorder: their dumps and status lines read its
+ * rings. All of it is passive — results are bit-identical with the
+ * recorder on or off (asserted by test_obs).
  */
 class ObsSession
 {
   public:
-    ObsSession(const Args &args, const std::string &tool,
-               std::uint64_t seed, int jobs)
+    ObsSession(const Args &args, std::string tool, std::uint64_t seed,
+               int jobs)
+        : args_(args), tool_(std::move(tool)), seed_(seed), jobs_(jobs),
+          tracing_(args.has("trace-out"))
     {
-        const bool wanted =
-            args.has("flight-recorder") || args.has("crash-dump") ||
-            args.has("watchdog") || args.has("progress");
-        if (!wanted)
+        for (const char *flag :
+             {"trace-out", "manifest-out", "stats-out", "crash-dump"})
+            if (args.has(flag) && args.str(flag, "").empty())
+                fatal(tool_, ": --", flag, " needs a file path");
+        double timeout = 0.0;
+        if (args.has("watchdog"))
+            timeout = util::parsePositiveSeconds(
+                args.str("watchdog", ""), "--watchdog");
+        const bool progress = args.has("progress");
+        if (tracing_)
+            trace_.setProcessName(tool_);
+
+        if (!args.has("flight-recorder") && !args.has("crash-dump") &&
+            !args.has("watchdog") && !progress)
             return;
         std::size_t capacity = 4096;
         if (!args.str("flight-recorder", "").empty())
             capacity = static_cast<std::size_t>(util::parsePositiveInt(
                 args.str("flight-recorder", ""), "--flight-recorder"));
         obs::FlightRecorder::enable(capacity);
+        // Main mostly waits on workers; its ring is busy only while
+        // it runs a cell itself, so a long fan-out never reads as a
+        // main-thread stall.
         obs::FlightRecorder::attachCurrentThread("main");
 
         if (args.has("crash-dump")) {
-            const std::string path = args.str("crash-dump", "");
-            if (path.empty())
-                fatal(tool, ": --crash-dump needs a file path");
             // The dump carries the *configuration* identity (flags +
             // seed + jobs): a crashed run never wrote its manifest,
             // so this hash is what links the post-mortem back to the
             // design point that died.
-            obs::RunManifest identity(tool);
-            for (const auto &[key, value] : args.all())
-                if (!isOutputPathFlag(key))
-                    identity.setConfig("arg." + key, value);
-            identity.setSeed(seed);
-            identity.setJobs(jobs);
-            obs::CrashDump::install(path);
-            obs::CrashDump::setTool(tool);
-            obs::CrashDump::setIdentity(identity.identityHash());
+            obs::CrashDump::install(args.str("crash-dump", ""));
+            obs::CrashDump::setTool(tool_);
+            obs::CrashDump::setIdentity(identity().identityHash());
         }
-
-        double timeout = 0.0;
-        if (args.has("watchdog")) {
-            const std::string value = args.str("watchdog", "");
-            if (value.empty())
-                fatal(tool,
-                      ": --watchdog needs a stall timeout in seconds");
-            timeout = std::stod(value);
-            if (timeout <= 0.0)
-                fatal(tool, ": --watchdog timeout must be positive");
-        }
-        const bool progress = args.has("progress");
-        if (timeout > 0.0 || progress) {
-            obs::Watchdog::enableHeartbeats();
-            // Main mostly waits on workers; register it idle so a
-            // long fan-out phase never reads as a main-thread stall.
-            obs::Watchdog::registerCurrentThread("main");
-            obs::Watchdog::markThreadIdle();
+        if (args.has("watchdog") || progress) {
             obs::Watchdog::start(timeout, progress);
             monitoring_ = true;
         }
@@ -276,7 +218,96 @@ class ObsSession
     ObsSession(const ObsSession &) = delete;
     ObsSession &operator=(const ObsSession &) = delete;
 
+    obs::Profiler &profiler() { return profiler_; }
+
+    /// The trace sink, or null without --trace-out.
+    obs::TraceEventSink *sink() { return tracing_ ? &trace_ : nullptr; }
+
+    /// Note one written artifact for the manifest inventory.
+    void
+    note(const std::string &path, const std::string &kind)
+    {
+        artifacts_.emplace_back(path, kind);
+    }
+
+    /// --csv / --json: write @p result's tables as artifacts of kind
+    /// "<kind>-csv" / "<kind>-json".
+    template <typename Result>
+    void
+    writeResults(const Result &result, const std::string &kind)
+    {
+        if (args_.has("csv")) {
+            const std::string path = args_.str("csv", "");
+            result.writeCsvFile(path);
+            note(path, kind + "-csv");
+            std::cout << "CSV written to " << path << "\n";
+        }
+        if (args_.has("json")) {
+            const std::string path = args_.str("json", "");
+            result.writeJsonFile(path);
+            note(path, kind + "-json");
+            std::cout << "JSON written to " << path << "\n";
+        }
+    }
+
+    /// The shared tail: --profile table, then the trace (with the
+    /// profile laid out as spans on its own track), then the
+    /// manifest, so the manifest's inventory covers the trace.
+    void
+    finish()
+    {
+        if (args_.has("profile"))
+            profiler_.writeSummary(std::cout);
+        if (tracing_) {
+            if (!profiler_.phases().empty())
+                profiler_.addToTrace(trace_,
+                                     trace_.allocateTrack("profile"));
+            const std::string path = args_.str("trace-out", "");
+            trace_.writeFile(path);
+            note(path, "trace");
+            std::cout << "trace written to " << path << " ("
+                      << trace_.size()
+                      << " events; open in Perfetto / chrome://tracing)\n";
+        }
+        if (args_.has("manifest-out")) {
+            const std::string path = args_.str("manifest-out", "");
+            obs::RunManifest manifest = identity();
+            for (const auto &[artifact_path, kind] : artifacts_)
+                manifest.addArtifact(artifact_path, kind);
+            manifest.setProfile(profiler_);
+            manifest.writeJsonFile(path);
+            std::ostringstream hash;
+            hash << std::hex << manifest.identityHash();
+            std::cout << "manifest written to " << path << " (identity 0x"
+                      << hash.str() << ", " << artifacts_.size()
+                      << " artifacts)\n";
+        }
+    }
+
   private:
+    /// A manifest holding the run's configuration identity: every
+    /// non-output flag verbatim (arg.<key>), the seed and the worker
+    /// count.
+    obs::RunManifest
+    identity() const
+    {
+        obs::RunManifest manifest(tool_);
+        for (const auto &[key, value] : args_.all())
+            if (!isOutputPathFlag(key))
+                manifest.setConfig("arg." + key, value);
+        manifest.setSeed(seed_);
+        manifest.setJobs(jobs_);
+        return manifest;
+    }
+
+    const Args &args_;
+    const std::string tool_;
+    const std::uint64_t seed_;
+    const int jobs_;
+    const bool tracing_;
+    obs::Profiler profiler_;
+    obs::TraceEventSink trace_;
+    std::vector<std::pair<std::string, std::string>> artifacts_;
     bool monitoring_ = false;
 };
 
@@ -453,9 +484,7 @@ cmdSim(const Args &args)
 
     const sim::NetworkSpec spec = fabricSpecFromArgs(args);
     const sim::SimConfig cfg = simConfigFromArgs(args);
-    ObsSession obs_session(args, "wss sim", cfg.seed, 1);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
+    ObsSession session(args, "wss sim", cfg.seed, 1);
 
     const auto make_network = [&] {
         return std::make_unique<sim::Network>(topo, spec, cfg.seed);
@@ -467,7 +496,7 @@ cmdSim(const Args &args)
     };
 
     const auto sweep = [&] {
-        obs::ScopedPhase phase(&profiler, "sweep");
+        obs::ScopedPhase phase(&session.profiler(), "sweep");
         return sim::sweepLoad(make_network, make_workload,
                               ratesFromArgs(args), cfg);
     }();
@@ -492,8 +521,6 @@ cmdSim(const Args &args)
     // telemetry on, dumped as long-format CSV.
     if (args.has("stats-out")) {
         const std::string path = args.str("stats-out", "");
-        if (path.empty())
-            fatal("sim: --stats-out needs a file path");
         sim::SimConfig obs_cfg = cfg;
         obs_cfg.observe = true;
         obs_cfg.observe_sample_every = args.integer("obs-sample", 0);
@@ -502,12 +529,12 @@ cmdSim(const Args &args)
 
         sim::SimResult full;
         {
-            obs::ScopedPhase phase(&profiler, "observe");
+            obs::ScopedPhase phase(&session.profiler(), "observe");
             sim::runLoadPoint(make_network, make_workload, rate,
                               obs_cfg, &full);
         }
         full.observation->dumpCsvFile(path);
-        artifacts.note(path, "sim-observation");
+        session.note(path, "sim-observation");
 
         const std::uint64_t counted =
             full.observation->totalCounter("flits_delivered");
@@ -521,10 +548,7 @@ cmdSim(const Args &args)
                   << full.flits_delivered
                   << " flits delivered, counters reconcile)\n";
     }
-    finishProfile(args, profiler, nullptr);
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss sim", cfg.seed, 1, artifacts,
-                      profiler);
+    session.finish();
     return 0;
 }
 
@@ -576,15 +600,9 @@ cmdSweep(const Args &args)
     }
 
     exec::ThreadPool pool(jobs);
-    ObsSession obs_session(args, "wss sweep", cfg.seed, jobs);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
-    obs::TraceEventSink trace;
-    const bool tracing = args.has("trace-out");
-    if (tracing)
-        trace.setProcessName("wss sweep");
+    ObsSession session(args, "wss sweep", cfg.seed, jobs);
     const auto result =
-        campaign.run(&pool, tracing ? &trace : nullptr, &profiler);
+        campaign.run(&pool, session.sink(), &session.profiler());
 
     for (const auto &job : result.jobs) {
         const auto &sweep = job.sweep.combined;
@@ -616,32 +634,8 @@ cmdSweep(const Args &args)
               << result.threads << " threads, wall "
               << Table::num(result.wall_seconds, 2) << " s\n";
 
-    if (args.has("csv")) {
-        const std::string path = args.str("csv", "");
-        result.writeCsvFile(path);
-        artifacts.note(path, "campaign-csv");
-        std::cout << "CSV written to " << path << "\n";
-    }
-    if (args.has("json")) {
-        const std::string path = args.str("json", "");
-        result.writeJsonFile(path);
-        artifacts.note(path, "campaign-json");
-        std::cout << "JSON written to " << path << "\n";
-    }
-    finishProfile(args, profiler, tracing ? &trace : nullptr);
-    if (tracing) {
-        const std::string path = args.str("trace-out", "");
-        if (path.empty())
-            fatal("sweep: --trace-out needs a file path");
-        trace.writeFile(path);
-        artifacts.note(path, "trace");
-        std::cout << "trace written to " << path << " ("
-                  << trace.size()
-                  << " events; open in Perfetto / chrome://tracing)\n";
-    }
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss sweep", cfg.seed, jobs, artifacts,
-                      profiler);
+    session.writeResults(result, "campaign");
+    session.finish();
     return 0;
 }
 
@@ -792,16 +786,10 @@ cmdResilience(const Args &args)
     const int jobs = static_cast<int>(
         args.integer("jobs", exec::ThreadPool::defaultThreads()));
     exec::ThreadPool pool(jobs);
-    ObsSession obs_session(args, "wss resilience", cfg.seed, jobs);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
-    obs::TraceEventSink trace;
-    const bool tracing = args.has("trace-out");
-    if (tracing)
-        trace.setProcessName("wss resilience");
+    ObsSession session(args, "wss resilience", cfg.seed, jobs);
     const fault::ResilienceResult result =
-        fault::ResilienceCampaign(cfg).run(
-            &pool, tracing ? &trace : nullptr, &profiler);
+        fault::ResilienceCampaign(cfg).run(&pool, session.sink(),
+                                           &session.profiler());
 
     Table table("wss resilience — " + Table::num(cfg.samples) +
                     " maps/cell, seed " + Table::num(cfg.seed),
@@ -824,32 +812,8 @@ cmdResilience(const Args &args)
               << result.threads << " threads, wall "
               << Table::num(result.wall_seconds, 2) << " s\n";
 
-    if (args.has("csv")) {
-        const std::string path = args.str("csv", "");
-        result.writeCsvFile(path);
-        artifacts.note(path, "resilience-csv");
-        std::cout << "CSV written to " << path << "\n";
-    }
-    if (args.has("json")) {
-        const std::string path = args.str("json", "");
-        result.writeJsonFile(path);
-        artifacts.note(path, "resilience-json");
-        std::cout << "JSON written to " << path << "\n";
-    }
-    finishProfile(args, profiler, tracing ? &trace : nullptr);
-    if (tracing) {
-        const std::string path = args.str("trace-out", "");
-        if (path.empty())
-            fatal("resilience: --trace-out needs a file path");
-        trace.writeFile(path);
-        artifacts.note(path, "trace");
-        std::cout << "trace written to " << path << " ("
-                  << trace.size()
-                  << " events; open in Perfetto / chrome://tracing)\n";
-    }
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss resilience", cfg.seed, jobs,
-                      artifacts, profiler);
+    session.writeResults(result, "resilience");
+    session.finish();
     return 0;
 }
 
@@ -984,14 +948,7 @@ cmdDcn(const Args &args)
     const int jobs = static_cast<int>(
         args.integer("jobs", exec::ThreadPool::defaultThreads()));
     exec::ThreadPool pool(jobs);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
-    obs::TraceEventSink trace;
-    const bool tracing = args.has("trace-out");
-    if (tracing)
-        trace.setProcessName("wss dcn");
-    obs::TraceEventSink *sink = tracing ? &trace : nullptr;
-    ObsSession obs_session(
+    ObsSession session(
         args, "wss dcn",
         static_cast<std::uint64_t>(args.integer("seed", 1)), jobs);
 
@@ -1041,10 +998,10 @@ cmdDcn(const Args &args)
 
     const flow::SwitchProfile ws_profile = dcnProfile(
         args, "ws-" + std::to_string(ws_ports), ws_ports, dspec.ssc,
-        ws_power, &pool, sink, &profiler);
+        ws_power, &pool, session.sink(), &session.profiler());
     const flow::SwitchProfile conv_profile = dcnProfile(
         args, "conv-" + std::to_string(conv_aligned), conv_aligned,
-        conv_ssc, conv_power, &pool, sink, &profiler);
+        conv_ssc, conv_power, &pool, session.sink(), &session.profiler());
 
     flow::DcnCampaignConfig cfg;
     cfg.designs = {ws_profile, conv_profile};
@@ -1069,7 +1026,8 @@ cmdDcn(const Args &args)
     cfg.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
 
     const flow::DcnResult result =
-        flow::DcnCampaign(cfg).run(&pool, sink, &profiler);
+        flow::DcnCampaign(cfg).run(&pool, session.sink(),
+                                   &session.profiler());
 
     Table table("wss dcn — " + Table::num(cfg.hosts) + " hosts, " +
                     Table::num(cfg.flows_per_cell) +
@@ -1094,26 +1052,13 @@ cmdDcn(const Args &args)
               << result.threads << " threads, wall "
               << Table::num(result.wall_seconds, 2) << " s\n";
 
-    if (args.has("csv")) {
-        const std::string path = args.str("csv", "");
-        result.writeCsvFile(path);
-        artifacts.note(path, "dcn-csv");
-        std::cout << "CSV written to " << path << "\n";
-    }
-    if (args.has("json")) {
-        const std::string path = args.str("json", "");
-        result.writeJsonFile(path);
-        artifacts.note(path, "dcn-json");
-        std::cout << "JSON written to " << path << "\n";
-    }
+    session.writeResults(result, "dcn");
 
     // Observed run: re-simulate the campaign's first cell (same
     // seed-derived flow list, fault-free) with windowed telemetry on
     // and dump the per-link congestion timeline.
     if (args.has("stats-out")) {
         const std::string path = args.str("stats-out", "");
-        if (path.empty())
-            fatal("dcn: --stats-out needs a file path");
         const flow::SwitchProfile &profile = cfg.designs.front();
         flow::DcnTopology topo =
             cfg.kind == flow::DcnKind::FatTree
@@ -1132,8 +1077,8 @@ cmdDcn(const Args &args)
                                 deriveSeed(cfg.seed, 1));
 
         flow::FlowSimConfig obs_cfg;
-        obs_cfg.profiler = &profiler;
-        obs_cfg.trace = sink;
+        obs_cfg.profiler = &session.profiler();
+        obs_cfg.trace = session.sink();
         obs_cfg.trace_label = "dcn-observed";
         // Default window: ~24 buckets over the campaign's own run of
         // this cell (its duration is already known).
@@ -1147,7 +1092,7 @@ cmdDcn(const Args &args)
         const flow::FlowSimResult observed =
             flow::simulateFlows(topo, profile, flows, {}, obs_cfg);
         observed.telemetry->dumpCsvFile(path);
-        artifacts.note(path, "flow-telemetry");
+        session.note(path, "flow-telemetry");
         std::cout << "telemetry written to " << path << " ("
                   << observed.telemetry->windows.size()
                   << " windows of "
@@ -1155,20 +1100,7 @@ cmdDcn(const Args &args)
                   << " us, " << observed.started << " flows)\n";
     }
 
-    finishProfile(args, profiler, sink);
-    if (tracing) {
-        const std::string path = args.str("trace-out", "");
-        if (path.empty())
-            fatal("dcn: --trace-out needs a file path");
-        trace.writeFile(path);
-        artifacts.note(path, "trace");
-        std::cout << "trace written to " << path << " ("
-                  << trace.size()
-                  << " events; open in Perfetto / chrome://tracing)\n";
-    }
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss dcn", cfg.seed, jobs, artifacts,
-                      profiler);
+    session.finish();
     return 0;
 }
 
@@ -1310,14 +1242,7 @@ cmdColl(const Args &args)
             : exec::ThreadPool::defaultThreads());
 
     exec::ThreadPool pool(jobs);
-    ObsSession obs_session(args, "wss coll", seed, jobs);
-    obs::Profiler profiler;
-    ArtifactLog artifacts;
-    obs::TraceEventSink trace;
-    const bool tracing = args.has("trace-out");
-    if (tracing)
-        trace.setProcessName("wss coll");
-    obs::TraceEventSink *sink = tracing ? &trace : nullptr;
+    ObsSession session(args, "wss coll", seed, jobs);
     obs::MetricsRegistry metrics;
 
     // Waferscale design vs conventional baseline, exactly as in
@@ -1365,10 +1290,10 @@ cmdColl(const Args &args)
 
     const flow::SwitchProfile ws_profile = dcnProfile(
         args, "ws-" + std::to_string(ws_ports), ws_ports, dspec.ssc,
-        ws_power, &pool, sink, &profiler);
+        ws_power, &pool, session.sink(), &session.profiler());
     const flow::SwitchProfile conv_profile = dcnProfile(
         args, "conv-" + std::to_string(conv_aligned), conv_aligned,
-        conv_ssc, conv_power, &pool, sink, &profiler);
+        conv_ssc, conv_power, &pool, session.sink(), &session.profiler());
 
     coll::CollCampaignConfig cfg;
     cfg.designs = {ws_profile, conv_profile};
@@ -1397,7 +1322,8 @@ cmdColl(const Args &args)
     cfg.seed = seed;
 
     const coll::CollResult result =
-        coll::CollCampaign(cfg).run(&pool, sink, &profiler);
+        coll::CollCampaign(cfg).run(&pool, session.sink(),
+                                    &session.profiler());
 
     Table table("wss coll — " + Table::num(cfg.ranks) +
                     " ranks, seed " + Table::num(cfg.seed),
@@ -1444,7 +1370,7 @@ cmdColl(const Args &args)
                 coll::buildSchedule(spec, ranks);
             coll::CollExecConfig exec_cfg;
             exec_cfg.metrics = &metrics;
-            exec_cfg.trace = sink;
+            exec_cfg.trace = session.sink();
             exec_cfg.trace_label = "fabric";
             const coll::CollExecResult fr = coll::executeOnFabric(
                 schedule, fab_payload, fab, net_spec,
@@ -1559,25 +1485,12 @@ cmdColl(const Args &args)
             std::cout << line << "\n";
     }
 
-    if (args.has("csv")) {
-        const std::string path = args.str("csv", "");
-        result.writeCsvFile(path);
-        artifacts.note(path, "coll-csv");
-        std::cout << "CSV written to " << path << "\n";
-    }
-    if (args.has("json")) {
-        const std::string path = args.str("json", "");
-        result.writeJsonFile(path);
-        artifacts.note(path, "coll-json");
-        std::cout << "JSON written to " << path << "\n";
-    }
+    session.writeResults(result, "coll");
 
     // Observed run: re-execute the campaign's first cell with
     // per-rank per-step telemetry on and dump the Gantt data.
     if (args.has("stats-out")) {
         const std::string path = args.str("stats-out", "");
-        if (path.empty())
-            fatal("coll: --stats-out needs a file path");
         const flow::SwitchProfile &profile = cfg.designs.front();
         const coll::Schedule schedule =
             coll::buildSchedule(cfg.collectives.front(), cfg.ranks);
@@ -1592,35 +1505,22 @@ cmdColl(const Args &args)
         coll::CollExecConfig exec_cfg;
         exec_cfg.telemetry = true;
         exec_cfg.metrics = &metrics;
-        exec_cfg.trace = sink;
+        exec_cfg.trace = session.sink();
         exec_cfg.trace_label = "coll-observed";
-        exec_cfg.profiler = &profiler;
+        exec_cfg.profiler = &session.profiler();
         exec_cfg.fault = cfg.fault;
         const coll::CollExecResult observed = coll::executeOnDcn(
             schedule, cfg.payload_bytes.front(), topo, profile,
             exec_cfg);
         observed.telemetry->dumpCsvFile(path);
-        artifacts.note(path, "coll-telemetry");
+        session.note(path, "coll-telemetry");
         std::cout << "telemetry written to " << path << " ("
                   << schedule.name() << ", "
                   << observed.telemetry->steps.size() << " steps, "
                   << observed.messages << " messages)\n";
     }
 
-    finishProfile(args, profiler, sink);
-    if (tracing) {
-        const std::string path = args.str("trace-out", "");
-        if (path.empty())
-            fatal("coll: --trace-out needs a file path");
-        trace.writeFile(path);
-        artifacts.note(path, "trace");
-        std::cout << "trace written to " << path << " ("
-                  << trace.size()
-                  << " events; open in Perfetto / chrome://tracing)\n";
-    }
-    if (args.has("manifest-out"))
-        writeManifest(args, "wss coll", seed, jobs, artifacts,
-                      profiler);
+    session.finish();
     return 0;
 }
 
