@@ -35,7 +35,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -47,6 +47,7 @@
 #include "topology/clos.hpp"
 #include "topology/mesh.hpp"
 #include "util/artifact.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -187,14 +188,13 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc)
             only = argv[++i];
         else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-            reps = std::atoi(argv[++i]);
+            reps = static_cast<int>(
+                util::parsePositiveInt(argv[++i], "--reps", INT_MAX));
         else
             fatal("bench_simcore: unknown argument '", argv[i],
                   "' (usage: bench_simcore [--smoke] [--json PATH] "
                   "[--only SUBSTR] [--reps N])");
     }
-    if (reps < 1)
-        fatal("bench_simcore: --reps must be >= 1");
 
     bench::banner("Simulator core",
                   "flits/s throughput on representative design points");

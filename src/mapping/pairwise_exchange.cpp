@@ -4,34 +4,6 @@
 
 namespace wss::mapping {
 
-namespace {
-
-/// Lexicographic objective: (max load, count of near-max edges).
-struct Objective
-{
-    double max_load;
-    int hot_edges;
-
-    bool
-    betterThan(const Objective &other) const
-    {
-        constexpr double eps = 1e-9;
-        if (max_load < other.max_load - eps)
-            return true;
-        if (max_load > other.max_load + eps)
-            return false;
-        return hot_edges < other.hot_edges;
-    }
-};
-
-Objective
-evaluate(const WaferMapping &mapping)
-{
-    return {mapping.maxEdgeLoad(), mapping.hotEdgeCount()};
-}
-
-} // namespace
-
 double
 optimizePairwiseExchange(WaferMapping &mapping)
 {
@@ -45,7 +17,26 @@ optimizePairwiseExchange(WaferMapping &mapping)
         if (mapping.nodeAt(s) == -1)
             empty_sites.push_back(s);
 
-    Objective current = evaluate(mapping);
+    MappingObjective current = mapping.objective();
+    // Keep the trial of moving @p node to @p site if it improves the
+    // objective. A trial that lifts any edge above the current C(M)
+    // plus the tie epsilon cannot win betterThan(), so tryExchange()
+    // drops it at that edge without computing the objective.
+    auto keepIfBetter = [&](int node, int site) {
+        if (!mapping.tryExchange(node, site,
+                                 current.max_load +
+                                     MappingObjective::kTieEps))
+            return false;
+        const MappingObjective candidate = mapping.objective();
+        if (!candidate.betterThan(current)) {
+            mapping.rollback();
+            return false;
+        }
+        mapping.commit();
+        current = candidate;
+        return true;
+    };
+
     bool changed = true;
     while (changed) {
         changed = false;
@@ -55,30 +46,18 @@ optimizePairwiseExchange(WaferMapping &mapping)
             for (int b = a + 1; b < nodes; ++b) {
                 if (mapping.equivalenceKey(a) == mapping.equivalenceKey(b))
                     continue; // interchangeable: swap is a no-op
-                mapping.swapNodes(a, b);
-                const Objective candidate = evaluate(mapping);
-                if (candidate.betterThan(current)) {
-                    current = candidate;
+                if (keepIfBetter(a, mapping.siteOf(b)))
                     changed = true;
-                } else {
-                    mapping.swapNodes(a, b); // revert
-                }
             }
         }
 
         // Node-to-empty-site moves.
         for (int a = 0; a < nodes; ++a) {
             for (std::size_t i = 0; i < empty_sites.size(); ++i) {
-                const int target = empty_sites[i];
                 const int from = mapping.siteOf(a);
-                mapping.moveNode(a, target);
-                const Objective candidate = evaluate(mapping);
-                if (candidate.betterThan(current)) {
-                    current = candidate;
+                if (keepIfBetter(a, empty_sites[i])) {
                     empty_sites[i] = from;
                     changed = true;
-                } else {
-                    mapping.moveNode(a, from); // revert
                 }
             }
         }

@@ -1,11 +1,18 @@
 #include "mapping/wafer_mapping.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <limits>
 #include <numeric>
 
 #include "util/logging.hpp"
 
 namespace wss::mapping {
+
+namespace {
+/// Load cap of removals and committed moves: never exceeded.
+constexpr double kNoCap = std::numeric_limits<double>::infinity();
+} // namespace
 
 WaferMapping::WaferMapping(const topology::LogicalTopology &topo,
                            const WaferFloorplan &fp,
@@ -109,13 +116,16 @@ WaferMapping::assign(const std::vector<int> &node_to_site)
 void
 WaferMapping::rebuildLoads()
 {
+    commit(); // the loads are rebuilt, so no trial can be undone
     std::fill(edge_load_.begin(), edge_load_.end(), 0.0);
     const auto &links = topo_->links();
     for (const auto &link : links) {
         const int sa = node_site_[link.a];
         const int sb = node_site_[link.b];
         if (sa >= 0 && sb >= 0)
-            applyRoute(sa, sb, link.multiplicity * topo_->lineRate());
+            applyRoute(fp_->rowOf(sa), fp_->colOf(sa), fp_->rowOf(sb),
+                       fp_->colOf(sb), link.multiplicity * topo_->lineRate(),
+                       kNoCap);
     }
     if (external_via_mesh_) {
         for (int n = 0; n < topo_->nodeCount(); ++n) {
@@ -123,7 +133,8 @@ WaferMapping::rebuildLoads()
                 topo_->nodes()[n].external_ports > 0) {
                 applyExternal(node_site_[n],
                               topo_->nodes()[n].external_ports *
-                                  topo_->lineRate());
+                                  topo_->lineRate(),
+                              kNoCap);
             }
         }
     }
@@ -138,17 +149,18 @@ WaferMapping::maxEdgeLoad() const
     return m;
 }
 
-int
-WaferMapping::hotEdgeCount(double tolerance) const
+MappingObjective
+WaferMapping::objective() const
 {
     const double m = maxEdgeLoad();
     if (m <= 0.0)
-        return 0;
+        return {m, 0};
+    const double hot = m * (1.0 - MappingObjective::kHotTolerance);
     int count = 0;
     for (double load : edge_load_)
-        if (load >= m * (1.0 - tolerance))
+        if (load >= hot)
             ++count;
-    return count;
+    return {m, count};
 }
 
 double
@@ -176,10 +188,43 @@ WaferMapping::averageLinkHops() const
     return weight > 0.0 ? hops_weighted / weight : 0.0;
 }
 
-void
-WaferMapping::applyNode(int node, double sign)
+inline bool
+WaferMapping::applyLeg(int row, int col, int dir, int hops,
+                       double bandwidth, double cap)
+{
+    const int dr = dir == 0 ? -1 : dir == 1 ? 1 : 0;
+    const int dc = dir == 2 ? -1 : dir == 3 ? 1 : 0;
+    double *loads = edge_load_.data();
+    if (!in_trial_) {
+        for (int k = 0; k < hops; ++k, row += dr, col += dc)
+            loads[fp_->edgeToward(row, col, dir)] += bandwidth;
+        return true;
+    }
+    // Room for the whole leg up front, so the loop journals through a
+    // plain pointer.
+    if (undo_.size() < undo_len_ + hops)
+        growUndo(undo_len_ + hops);
+    UndoEntry *const first = undo_.data() + undo_len_;
+    UndoEntry *out = first;
+    bool within = true;
+    for (int k = 0; k < hops; ++k, row += dr, col += dc) {
+        const int edge = fp_->edgeToward(row, col, dir);
+        *out++ = {edge, loads[edge]};
+        loads[edge] += bandwidth;
+        if (loads[edge] > cap) {
+            within = false;
+            break;
+        }
+    }
+    undo_len_ += static_cast<std::size_t>(out - first);
+    return within;
+}
+
+bool
+WaferMapping::applyNode(int node, double sign, double cap)
 {
     const int site = node_site_[node];
+    const int row = fp_->rowOf(site), col = fp_->colOf(site);
     const auto &links = topo_->links();
     for (int b : node_bundles_[node]) {
         const auto &link = links[b];
@@ -187,78 +232,123 @@ WaferMapping::applyNode(int node, double sign)
         const int other_site = node_site_[other];
         if (other_site < 0)
             continue; // other endpoint currently unplaced
+        const int other_row = fp_->rowOf(other_site);
+        const int other_col = fp_->colOf(other_site);
         // Route in the link's canonical a->b orientation: X-then-Y
         // paths are not symmetric, and removal must retrace exactly
         // the path that was added.
-        const int from = link.a == node ? site : other_site;
-        const int to = link.a == node ? other_site : site;
-        applyRoute(from, to,
-                   sign * link.multiplicity * topo_->lineRate());
+        const double bandwidth =
+            sign * link.multiplicity * topo_->lineRate();
+        const bool within =
+            link.a == node
+                ? applyRoute(row, col, other_row, other_col, bandwidth,
+                             cap)
+                : applyRoute(other_row, other_col, row, col, bandwidth,
+                             cap);
+        if (!within)
+            return false;
     }
     if (external_via_mesh_ && topo_->nodes()[node].external_ports > 0) {
-        applyExternal(site, sign * topo_->nodes()[node].external_ports *
-                                topo_->lineRate());
+        return applyExternal(site,
+                             sign * topo_->nodes()[node].external_ports *
+                                 topo_->lineRate(),
+                             cap);
     }
+    return true;
 }
 
-void
-WaferMapping::applyRoute(int site_a, int site_b, double bandwidth)
+bool
+WaferMapping::applyRoute(int r1, int c1, int r2, int c2, double bandwidth,
+                         double cap)
 {
     // X-then-Y dimension-order route through feedthrough chiplets.
-    const int r1 = fp_->rowOf(site_a), c1 = fp_->colOf(site_a);
-    const int r2 = fp_->rowOf(site_b), c2 = fp_->colOf(site_b);
-
-    int c = c1;
-    while (c != c2) {
-        const int dir = c2 > c ? 3 : 2;
-        edge_load_[fp_->edgeToward(r1, c, dir)] += bandwidth;
-        c += c2 > c ? 1 : -1;
-    }
-    int r = r1;
-    while (r != r2) {
-        const int dir = r2 > r ? 1 : 0;
-        edge_load_[fp_->edgeToward(r, c2, dir)] += bandwidth;
-        r += r2 > r ? 1 : -1;
-    }
+    return applyLeg(r1, c1, c2 > c1 ? 3 : 2, std::abs(c2 - c1), bandwidth,
+                    cap) &&
+           applyLeg(r1, c2, r2 > r1 ? 1 : 0, std::abs(r2 - r1), bandwidth,
+                    cap);
 }
 
-void
-WaferMapping::applyExternal(int site, double bandwidth)
+bool
+WaferMapping::applyExternal(int site, double bandwidth, double cap)
 {
     // Port traffic fans out equally to the four I/O ring sides,
     // straight-line routed; the final edge reaches the ring site.
     const int r = fp_->rowOf(site), c = fp_->colOf(site);
     const double quarter = bandwidth / 4.0;
-    for (int ri = r; ri >= 0; --ri)
-        edge_load_[fp_->edgeToward(ri, c, 0)] += quarter;
-    for (int ri = r; ri < fp_->rows(); ++ri)
-        edge_load_[fp_->edgeToward(ri, c, 1)] += quarter;
-    for (int ci = c; ci >= 0; --ci)
-        edge_load_[fp_->edgeToward(r, ci, 2)] += quarter;
-    for (int ci = c; ci < fp_->cols(); ++ci)
-        edge_load_[fp_->edgeToward(r, ci, 3)] += quarter;
+    return applyLeg(r, c, 0, r + 1, quarter, cap) &&
+           applyLeg(r, c, 1, fp_->rows() - r, quarter, cap) &&
+           applyLeg(r, c, 2, c + 1, quarter, cap) &&
+           applyLeg(r, c, 3, fp_->cols() - c, quarter, cap);
+}
+
+bool
+WaferMapping::tryExchange(int node, int site, double load_cap)
+{
+    commit(); // a trial still pending is kept
+    const int from = node_site_[node];
+    const int other = site_node_[site];
+    in_trial_ = true;
+    trial_node_ = node;
+    trial_from_ = from;
+    trial_other_ = other;
+    trial_site_ = site;
+    if (other == node)
+        return true; // already there: nothing moves
+
+    // Removals only lower loads, so only additions are capped: once
+    // an addition overshoots, the final C(M) is above the cap too.
+    applyNode(node, -1.0, kNoCap);
+    node_site_[node] = -1; // so the occupant's removal skips shared bundles
+    if (other >= 0) {
+        applyNode(other, -1.0, kNoCap);
+        node_site_[other] = -1; // so node's addition skips them too
+    }
+    node_site_[node] = site;
+    site_node_[site] = node;
+    site_node_[from] = other;
+    bool within = applyNode(node, +1.0, load_cap);
+    if (within && other >= 0) {
+        node_site_[other] = from;
+        within = applyNode(other, +1.0, load_cap);
+    }
+    if (!within)
+        rollback();
+    return within;
+}
+
+void
+WaferMapping::commit()
+{
+    in_trial_ = false;
+    undo_len_ = 0;
+}
+
+void
+WaferMapping::rollback()
+{
+    if (!in_trial_)
+        return;
+    for (std::size_t i = undo_len_; i-- > 0;)
+        edge_load_[undo_[i].edge] = undo_[i].load;
+    node_site_[trial_node_] = trial_from_;
+    site_node_[trial_from_] = trial_node_;
+    site_node_[trial_site_] = trial_other_;
+    if (trial_other_ >= 0)
+        node_site_[trial_other_] = trial_site_;
+    commit();
+}
+
+void
+WaferMapping::growUndo(std::size_t entries)
+{
+    undo_.resize(std::max(2 * undo_.size(), entries));
 }
 
 void
 WaferMapping::swapNodes(int node_a, int node_b)
 {
-    if (node_a == node_b)
-        return;
-    const int site_a = node_site_[node_a];
-    const int site_b = node_site_[node_b];
-
-    applyNode(node_a, -1.0);
-    node_site_[node_a] = -1; // so node_b's removal skips the a-b bundle
-    applyNode(node_b, -1.0);
-
-    node_site_[node_a] = site_b;
-    node_site_[node_b] = -1;
-    applyNode(node_a, +1.0);
-    node_site_[node_b] = site_a;
-    applyNode(node_b, +1.0);
-
-    site_node_[site_a] = node_b;
-    site_node_[site_b] = node_a;
+    tryExchange(node_a, node_site_[node_b], kNoCap);
+    commit();
 }
 
 void
@@ -267,12 +357,8 @@ WaferMapping::moveNode(int node, int site)
     if (site_node_[site] != -1)
         fatal("WaferMapping::moveNode: target site ", site,
               " is occupied");
-    const int old_site = node_site_[node];
-    applyNode(node, -1.0);
-    node_site_[node] = site;
-    site_node_[old_site] = -1;
-    site_node_[site] = node;
-    applyNode(node, +1.0);
+    tryExchange(node, site, kNoCap);
+    commit();
 }
 
 } // namespace wss::mapping

@@ -9,8 +9,9 @@
  * kill a long campaign), but an explicit command-line argument is a
  * stated intent, so a malformed one is a fatal error — silently
  * running with a different seed or rank count than the user asked
- * for would poison every artifact downstream. Durations follow the
- * same rule: a finite decimal above zero, nothing else.
+ * for would poison every artifact downstream. Durations and other
+ * numbers follow the same rule: a whole-string finite decimal (above
+ * zero for durations), nothing else.
  */
 
 #ifndef WSS_UTIL_PARSE_HPP
@@ -50,6 +51,31 @@ parsePositiveInt(const std::string &value, const char *what,
     return static_cast<std::int64_t>(n);
 }
 
+namespace detail {
+
+/// True when @p value is exactly a finite plain decimal (an optional
+/// leading '-', then digits with an optional point and exponent); the
+/// number is stored in @p out.
+inline bool
+finiteDecimal(const std::string &value, double &out)
+{
+    const char *text = value.c_str();
+    const char *digits = text[0] == '-' ? text + 1 : text;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtod(text, &end);
+    // strtod alone would accept " 1", "1x", "nan", "inf" and "0x1p3";
+    // require a plain decimal that starts with a digit or a point.
+    const bool decimal =
+        (std::isdigit(static_cast<unsigned char>(digits[0])) ||
+         digits[0] == '.') &&
+        value.find_first_not_of("0123456789.eE+-") == std::string::npos;
+    return decimal && errno == 0 && end != text && *end == '\0' &&
+           std::isfinite(out);
+}
+
+} // namespace detail
+
 /**
  * Parse @p value as a finite decimal number of seconds above 0
  * ("30", "0.2", "1e-3"). fatal() — naming @p what and echoing the
@@ -59,21 +85,26 @@ parsePositiveInt(const std::string &value, const char *what,
 inline double
 parsePositiveSeconds(const std::string &value, const char *what)
 {
-    const char *text = value.c_str();
-    char *end = nullptr;
-    errno = 0;
-    const double s = std::strtod(text, &end);
-    // strtod alone would accept " 1", "1x", "nan", "inf" and "0x1p3";
-    // require a plain decimal that starts with a digit or a point.
-    const bool decimal =
-        (std::isdigit(static_cast<unsigned char>(text[0])) ||
-         text[0] == '.') &&
-        value.find_first_not_of("0123456789.eE+-") == std::string::npos;
-    if (!decimal || errno != 0 || end == text || *end != '\0' ||
-        !std::isfinite(s) || !(s > 0.0))
+    double s = 0.0;
+    if (!detail::finiteDecimal(value, s) || !(s > 0.0))
         fatal(what, "='", value,
               "' is not a positive number of seconds");
     return s;
+}
+
+/**
+ * Parse @p value as a finite decimal number ("0.7", "-2", "1e-3").
+ * fatal() — naming @p what and echoing the offending text — on
+ * anything else: empty, non-numeric, trailing junk, a '+' sign,
+ * whitespace, hex, "nan", "inf", or out of double range.
+ */
+inline double
+parseFiniteNumber(const std::string &value, const char *what)
+{
+    double v = 0.0;
+    if (!detail::finiteDecimal(value, v))
+        fatal(what, "='", value, "' is not a finite number");
+    return v;
 }
 
 } // namespace wss::util

@@ -7,10 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+
+#include "core/radix_solver.hpp"
 #include "mapping/pairwise_exchange.hpp"
 #include "mapping/wafer_mapping.hpp"
 #include "power/ssc.hpp"
+#include "tech/cooling.hpp"
+#include "tech/external_io.hpp"
+#include "tech/wsi.hpp"
+#include "topology/butterfly.hpp"
 #include "topology/clos.hpp"
+#include "topology/dragonfly.hpp"
 #include "topology/mesh.hpp"
 
 namespace wss::mapping {
@@ -306,6 +319,299 @@ TEST(PairwiseExchange, MeshIdentityIsAlreadyOptimal)
     EXPECT_DOUBLE_EQ(wm.maxEdgeLoad(), 32 * 200.0);
     const double optimized = optimizePairwiseExchange(wm);
     EXPECT_DOUBLE_EQ(optimized, 32 * 200.0);
+}
+
+/// Exact rendering of a double, for golden failure messages.
+std::string
+hex(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+/// FNV-1a over a node->site assignment.
+std::uint64_t
+fnv1a(const std::vector<int> &assignment)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int site : assignment) {
+        h ^= static_cast<std::uint32_t>(site);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+// Goldens pinned on the optimizer that re-applied every rejected move
+// in reverse; the journaled optimizer must reproduce them bit for bit.
+TEST(PairwiseExchange, GoldenSearchOnPaperScaleClos)
+{
+    const LogicalTopology topo =
+        topology::buildFoldedClos({8192, power::tomahawk5(1), 1});
+    const WaferFloorplan fp(10, 10, true, 28.28);
+    Rng rng(1);
+    const auto result = searchBestMapping(topo, fp, true, rng, 2);
+    EXPECT_EQ(hex(result.max_edge_load), "0x1.068p+17");
+    EXPECT_EQ(hex(result.total_crossing_bandwidth), "0x1.2e328p+24");
+    EXPECT_EQ(hex(result.average_link_hops), "0x1.a5ap+2");
+    EXPECT_EQ(fnv1a(result.assignment), 0xb7bbadf319336f8aULL)
+        << std::hex << fnv1a(result.assignment);
+}
+
+TEST(PairwiseExchange, GoldenFig25DragonflyOptimizedSolve)
+{
+    // Fig. 25 (c) Dragonfly: 300 mm, overclocked 6400 Gbps/mm links,
+    // water cooling, 4 mapping restarts, seed 1.
+    core::DesignSpec spec;
+    spec.substrate_side = 300.0;
+    spec.wsi = tech::siIf2x();
+    spec.external_io = tech::opticalIo();
+    spec.ssc = power::tomahawk5(1);
+    spec.cooling = tech::waterCooling();
+    spec.mapping_restarts = 4;
+    spec.seed = 1;
+    spec.topology = core::TopologyKind::Dragonfly;
+    const auto best = core::RadixSolver(spec).solveMaxPorts().best;
+    EXPECT_EQ(best.ports, 5120);
+    EXPECT_EQ(hex(best.max_edge_load), "0x1.82b8p+16");
+}
+
+/// Algorithm 1's objective computed from the loads as the original
+/// optimizer did: a max scan, then a count against that max.
+MappingObjective
+referenceObjective(const WaferMapping &wm)
+{
+    double m = 0.0;
+    for (double load : wm.edgeLoads())
+        m = std::max(m, load);
+    int hot = 0;
+    if (m > 0.0)
+        for (double load : wm.edgeLoads())
+            if (load >= m * (1.0 - 0.01))
+                ++hot;
+    return {m, hot};
+}
+
+/**
+ * The original Algorithm 1 loop, kept as the oracle: apply each trial
+ * move in full, evaluate, and re-apply it in reverse when rejected.
+ */
+MappingObjective
+referenceOptimize(WaferMapping &mapping)
+{
+    const int nodes = mapping.topology().nodeCount();
+    const int sites = mapping.floorplan().interiorCount();
+    std::vector<int> empty_sites;
+    for (int s = 0; s < sites; ++s)
+        if (mapping.nodeAt(s) == -1)
+            empty_sites.push_back(s);
+
+    MappingObjective current = referenceObjective(mapping);
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (int a = 0; a < nodes; ++a) {
+            for (int b = a + 1; b < nodes; ++b) {
+                if (mapping.equivalenceKey(a) == mapping.equivalenceKey(b))
+                    continue;
+                mapping.swapNodes(a, b);
+                const MappingObjective candidate =
+                    referenceObjective(mapping);
+                if (candidate.betterThan(current)) {
+                    current = candidate;
+                    changed = true;
+                } else {
+                    mapping.swapNodes(a, b);
+                }
+            }
+        }
+        for (int a = 0; a < nodes; ++a) {
+            for (std::size_t i = 0; i < empty_sites.size(); ++i) {
+                const int target = empty_sites[i];
+                const int from = mapping.siteOf(a);
+                mapping.moveNode(a, target);
+                const MappingObjective candidate =
+                    referenceObjective(mapping);
+                if (candidate.betterThan(current)) {
+                    current = candidate;
+                    empty_sites[i] = from;
+                    changed = true;
+                } else {
+                    mapping.moveNode(a, from);
+                }
+            }
+        }
+    }
+    return current;
+}
+
+void
+expectBitEqualLoads(const std::vector<double> &a,
+                    const std::vector<double> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t e = 0; e < a.size(); ++e)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[e]),
+                  std::bit_cast<std::uint64_t>(b[e]))
+            << "edge " << e << ": " << hex(a[e]) << " vs " << hex(b[e]);
+}
+
+/// A topology and floorplan for the oracle comparison.
+struct OracleCase
+{
+    std::string name;
+    LogicalTopology topo;
+    bool ring;
+};
+
+/// Randomized Clos, butterfly and dragonfly cases, each on a grid with
+/// a few empty sites, with and without an I/O ring.
+std::vector<OracleCase>
+oracleCases()
+{
+    std::vector<OracleCase> cases;
+    Rng rng(2024);
+    for (bool ring : {true, false}) {
+        const int clos_radix = rng.nextBool(0.5) ? 32 : 64;
+        const std::int64_t clos_ports =
+            clos_radix / 2 * (6 + rng.nextBelow(8));
+        cases.push_back({"clos", topology::buildFoldedClos(
+                                     {clos_ports,
+                                      power::scaledSsc(clos_radix, 200.0),
+                                      1}),
+                         ring});
+        const int bfly_radix = 32;
+        const std::int64_t bfly_ports =
+            5 * bfly_radix / 8 * (4 + rng.nextBelow(5));
+        cases.push_back({"butterfly",
+                         topology::buildButterfly(
+                             bfly_ports,
+                             power::scaledSsc(bfly_radix, 400.0)),
+                         ring});
+        const int groups = 3 + static_cast<int>(rng.nextBelow(3));
+        cases.push_back({"dragonfly",
+                         topology::buildDragonfly(
+                             groups, power::scaledSsc(32, 800.0)),
+                         ring});
+    }
+    return cases;
+}
+
+/// Smallest near-square grid with @p nodes sites plus a few spares.
+WaferFloorplan
+gridFor(int nodes, bool ring)
+{
+    int rows = 1;
+    while (rows * rows < nodes + 3)
+        ++rows;
+    const int cols = (nodes + 3 + rows - 1) / rows;
+    return WaferFloorplan(rows, cols, ring, 28.28);
+}
+
+TEST(PairwiseExchange, MatchesReferenceOptimizerBitForBit)
+{
+    Rng rng(99);
+    for (const auto &c : oracleCases()) {
+        const WaferFloorplan fp = gridFor(c.topo.nodeCount(), c.ring);
+        ASSERT_GT(fp.interiorCount(), c.topo.nodeCount()) << c.name;
+        for (int start = 0; start < 3; ++start) {
+            SCOPED_TRACE(c.name + (c.ring ? " ring" : " no ring") +
+                         " start " + std::to_string(start));
+            WaferMapping reference(c.topo, fp, c.ring);
+            reference.assignRandom(rng);
+            std::vector<int> initial(c.topo.nodeCount());
+            for (int n = 0; n < c.topo.nodeCount(); ++n)
+                initial[n] = reference.siteOf(n);
+            WaferMapping journaled(c.topo, fp, c.ring);
+            journaled.assign(initial);
+
+            const MappingObjective want = referenceOptimize(reference);
+            const double got = optimizePairwiseExchange(journaled);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want.max_load));
+            const MappingObjective final_obj = journaled.objective();
+            EXPECT_EQ(final_obj.hot_edges, want.hot_edges);
+            expectBitEqualLoads(journaled.edgeLoads(),
+                                reference.edgeLoads());
+            for (int n = 0; n < c.topo.nodeCount(); ++n)
+                EXPECT_EQ(journaled.siteOf(n), reference.siteOf(n))
+                    << "node " << n;
+        }
+    }
+}
+
+/// Random trial exchanges on @p wm: every rejected trial, whether
+/// stopped at the cap or rolled back after evaluation, must leave the
+/// loads and the placement exactly as they were; and a trial must stop
+/// early exactly when its full application would end above the cap.
+void
+checkRejectedTrialsRestoreExactly(WaferMapping &wm, Rng &rng)
+{
+    const int nodes = wm.topology().nodeCount();
+    const int sites = wm.floorplan().interiorCount();
+    int aborted = 0, evaluated = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const int node = static_cast<int>(rng.nextBelow(nodes));
+        const int site = static_cast<int>(rng.nextBelow(sites));
+        if (site == wm.siteOf(node))
+            continue;
+        const std::vector<double> before = wm.edgeLoads();
+        std::vector<int> placement(nodes);
+        for (int n = 0; n < nodes; ++n)
+            placement[n] = wm.siteOf(n);
+
+        // The uncapped outcome decides whether a capped trial may stop.
+        const double cap = wm.maxEdgeLoad() + MappingObjective::kTieEps;
+        ASSERT_TRUE(wm.tryExchange(
+            node, site, std::numeric_limits<double>::infinity()));
+        const double full_max = wm.maxEdgeLoad();
+        wm.rollback();
+        expectBitEqualLoads(wm.edgeLoads(), before);
+
+        const bool kept = wm.tryExchange(node, site, cap);
+        EXPECT_EQ(kept, full_max <= cap) << "trial " << trial;
+        if (kept) {
+            ++evaluated;
+            wm.rollback();
+        } else {
+            ++aborted;
+        }
+        expectBitEqualLoads(wm.edgeLoads(), before);
+        for (int n = 0; n < nodes; ++n)
+            ASSERT_EQ(wm.siteOf(n), placement[n]) << "node " << n;
+        for (int n = 0; n < nodes; ++n)
+            ASSERT_EQ(wm.nodeAt(placement[n]), n);
+    }
+    EXPECT_GT(aborted, 0);
+    EXPECT_GT(evaluated, 0);
+}
+
+TEST(WaferMapping, RejectedTrialsRestoreLoadsExactly)
+{
+    for (const auto &c : oracleCases()) {
+        SCOPED_TRACE(c.name);
+        const WaferFloorplan fp = gridFor(c.topo.nodeCount(), c.ring);
+        WaferMapping wm(c.topo, fp, c.ring);
+        Rng rng(17);
+        wm.assignRandom(rng);
+        checkRejectedTrialsRestoreExactly(wm, rng);
+    }
+}
+
+TEST(WaferMapping, RejectedTrialsRestoreNonDyadicLoadsExactly)
+{
+    // A 0.1 G line rate makes every load inexact in binary, so
+    // re-applying a move in reverse would leave rounding drift; the
+    // journal restores the old values themselves.
+    const LogicalTopology topo = topology::buildFoldedClos(
+        {256, power::scaledSsc(32, 0.1, "slow"), 1});
+    for (bool ring : {true, false}) {
+        const WaferFloorplan fp = gridFor(topo.nodeCount(), ring);
+        WaferMapping wm(topo, fp, ring);
+        Rng rng(23);
+        wm.assignRandom(rng);
+        checkRejectedTrialsRestoreExactly(wm, rng);
+    }
 }
 
 } // namespace

@@ -384,5 +384,40 @@ TEST(ParsePositiveSeconds, RejectsEverythingElseLoudly)
     EXPECT_DEATH(util::parsePositiveSeconds("1e999", "--x"), "--x");
 }
 
+TEST(ParseFiniteNumber, AcceptsWholeStringDecimals)
+{
+    EXPECT_EQ(util::parseFiniteNumber("0.7", "--x"), 0.7);
+    EXPECT_EQ(util::parseFiniteNumber("0", "--x"), 0.0);
+    EXPECT_EQ(util::parseFiniteNumber("-2", "--x"), -2.0);
+    EXPECT_EQ(util::parseFiniteNumber(".5", "--x"), 0.5);
+    EXPECT_EQ(util::parseFiniteNumber("1048576", "--x"), 1048576.0);
+    EXPECT_EQ(util::parseFiniteNumber("1e-3", "--x"), 1e-3);
+    EXPECT_EQ(util::parseFiniteNumber("2E+3", "--x"), 2000.0);
+}
+
+TEST(ParseFiniteNumber, RejectsEverythingElseLoudly)
+{
+    // std::stod took "0.7x" as 0.7, read "nan" as a number and threw
+    // an uncaught exception on "" and "1e999": each is fatal here.
+    EXPECT_DEATH(util::parseFiniteNumber("0.7x", "--loads"),
+                 "--loads='0.7x' is not a finite number");
+    EXPECT_DEATH(util::parseFiniteNumber("3 ", "--loads"), "--loads='3 '");
+    EXPECT_DEATH(util::parseFiniteNumber(" 3", "--loads"), "--loads=' 3'");
+    EXPECT_DEATH(util::parseFiniteNumber("nan", "--densities"),
+                 "--densities='nan'");
+    EXPECT_DEATH(util::parseFiniteNumber("-inf", "--densities"),
+                 "--densities='-inf'");
+    EXPECT_DEATH(util::parseFiniteNumber("infinity", "--x"), "--x");
+    EXPECT_DEATH(util::parseFiniteNumber("", "--payloads"),
+                 "--payloads=''");
+    EXPECT_DEATH(util::parseFiniteNumber("-", "--x"), "--x='-'");
+    EXPECT_DEATH(util::parseFiniteNumber("+1", "--x"), "--x='\\+1'");
+    EXPECT_DEATH(util::parseFiniteNumber("0x10", "--x"), "--x='0x10'");
+    EXPECT_DEATH(util::parseFiniteNumber("1e999", "--payloads"),
+                 "--payloads='1e999'");
+    EXPECT_DEATH(util::parseFiniteNumber("-1e999", "--x"), "--x");
+    EXPECT_DEATH(util::parseFiniteNumber("1e-400", "--x"), "--x");
+}
+
 } // namespace
 } // namespace wss

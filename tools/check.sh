@@ -14,7 +14,9 @@
 #      work die loudly instead of corrupting results, plus an
 #      end-to-end `wss coll --manifest-out` → `wss report` pipeline
 #      under ASan (the reporter parses untrusted CSV/JSON, so its
-#      string handling runs heap-checked),
+#      string handling runs heap-checked); the mapping suite runs
+#      there too, because Algorithm 1's undo journal indexes the edge
+#      loads by logged edge ids,
 #   4. a release-preset bench_simcore --smoke, proving the optimized
 #      build still runs every bench point to a stable result (the
 #      perf numbers themselves are tracked in bench_results/), and a
@@ -84,11 +86,11 @@ echo "== tsan: race-checked test run =="
 # Death tests (fork under TSAN) are excluded by the preset filter.
 ctest --preset tsan
 
-echo "== asan: configure + build (test_sim_determinism, test_flow, test_coll) =="
+echo "== asan: configure + build (test_sim_determinism, test_flow, test_coll, test_obs, test_mapping, wss) =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 
-echo "== asan: heap-checked determinism suite =="
+echo "== asan: heap-checked determinism and mapping suites =="
 # The ZeroAllocation test is excluded by the preset filter: ASan
 # interposes the allocator, which defeats the counting hook.
 ctest --preset asan

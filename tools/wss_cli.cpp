@@ -22,6 +22,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -704,7 +705,9 @@ cmdYield(const Args &args)
     return 0;
 }
 
-/// Comma-separated "--key a,b,c" list; fatal when empty.
+/// Comma-separated "--key a,b,c" list; fatal when empty. An empty
+/// item ("a,,b") is kept, so the caller's parser rejects it instead
+/// of a value silently going missing.
 std::vector<std::string>
 listFromArgs(const Args &args, const std::string &key,
              const std::string &fallback)
@@ -713,11 +716,34 @@ listFromArgs(const Args &args, const std::string &key,
     std::istringstream list(args.str(key, fallback));
     std::string item;
     while (std::getline(list, item, ','))
-        if (!item.empty())
-            items.push_back(item);
+        items.push_back(item);
     if (items.empty())
         fatal("--", key, " needs at least one value");
     return items;
+}
+
+/// The items of list flag --@p key, each parsed by @p parse, which
+/// fatals naming the flag.
+template <class Parse>
+auto
+numbersFromArgs(const Args &args, const std::string &key,
+                const std::string &fallback, Parse parse)
+{
+    const std::string flag = "--" + key;
+    std::vector<decltype(parse(std::string(), flag.c_str()))> values;
+    for (const auto &item : listFromArgs(args, key, fallback))
+        values.push_back(parse(item, flag.c_str()));
+    return values;
+}
+
+/// A whole number in [0, INT_MAX], e.g. a spare count.
+int
+parseCount(const std::string &value, const char *what)
+{
+    const double v = util::parseFiniteNumber(value, what);
+    if (v < 0.0 || v != std::floor(v) || v > INT_MAX)
+        fatal(what, "='", value, "' is not a whole number >= 0");
+    return static_cast<int>(v);
 }
 
 int
@@ -756,15 +782,13 @@ cmdResilience(const Args &args)
     }
 
     fault::ResilienceConfig cfg;
-    cfg.radices.clear();
-    for (const auto &item : listFromArgs(args, "ports", "256"))
-        cfg.radices.push_back(std::stoll(item));
-    cfg.defect_densities.clear();
-    for (const auto &item : listFromArgs(args, "densities", "0.1,0.3"))
-        cfg.defect_densities.push_back(std::stod(item));
-    cfg.spare_counts.clear();
-    for (const auto &item : listFromArgs(args, "spares", "0,1,2"))
-        cfg.spare_counts.push_back(static_cast<int>(std::stoi(item)));
+    cfg.radices = numbersFromArgs(
+        args, "ports", "256", [](const std::string &v, const char *flag) {
+            return util::parsePositiveInt(v, flag);
+        });
+    cfg.defect_densities = numbersFromArgs(args, "densities", "0.1,0.3",
+                                           util::parseFiniteNumber);
+    cfg.spare_counts = numbersFromArgs(args, "spares", "0,1,2", parseCount);
 
     cfg.ssc = power::scaledSsc(
         static_cast<int>(args.integer("ssc-radix", 64)),
@@ -951,6 +975,9 @@ cmdDcn(const Args &args)
     ObsSession session(
         args, "wss dcn",
         static_cast<std::uint64_t>(args.integer("seed", 1)), jobs);
+    // Checked before the solver and calibration run.
+    const std::vector<double> loads =
+        numbersFromArgs(args, "loads", "0.3,0.7", util::parseFiniteNumber);
 
     // Waferscale design: solver-sized unless --ws-ports pins it.
     core::DesignSpec dspec;
@@ -1018,9 +1045,7 @@ cmdDcn(const Args &args)
     for (const auto &name :
          listFromArgs(args, "workloads", "websearch"))
         cfg.workloads.push_back(flow::workloadByName(name));
-    cfg.loads.clear();
-    for (const auto &item : listFromArgs(args, "loads", "0.3,0.7"))
-        cfg.loads.push_back(std::stod(item));
+    cfg.loads = loads;
     cfg.flows_per_cell = args.integer("flows", 100000);
     cfg.fault_model.node_field_failure = args.num("node-fail", 0.0);
     cfg.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
@@ -1240,6 +1265,8 @@ cmdColl(const Args &args)
             ? util::parsePositiveInt(args.str("jobs", ""), "--jobs",
                                      4096)
             : exec::ThreadPool::defaultThreads());
+    const std::vector<double> payloads = numbersFromArgs(
+        args, "payloads", "1048576", util::parseFiniteNumber);
 
     exec::ThreadPool pool(jobs);
     ObsSession session(args, "wss coll", seed, jobs);
@@ -1310,9 +1337,7 @@ cmdColl(const Args &args)
     for (const auto &name :
          listFromArgs(args, "collectives", "ring,hd,tree,alltoall"))
         cfg.collectives.push_back(parseCollSpec(name));
-    cfg.payload_bytes.clear();
-    for (const auto &item : listFromArgs(args, "payloads", "1048576"))
-        cfg.payload_bytes.push_back(std::stod(item));
+    cfg.payload_bytes = payloads;
     if (args.has("kill-step")) {
         cfg.fault.at_step =
             static_cast<int>(args.integer("kill-step", -1));
