@@ -19,7 +19,8 @@ main()
     using namespace wss;
     bench::banner("Ablation", "oblivious vs adaptive ECMP routing");
 
-    const std::int64_t ports = bench::envInt("WSS_BENCH_PORTS", 512);
+    // Transpose needs a square terminal count: 256 = 16^2.
+    const std::int64_t ports = bench::envInt("WSS_BENCH_PORTS", 256);
     const auto topo =
         topology::buildFoldedClos({ports, power::tomahawk5(1), 1});
     const bool fast = bench::fastMode();

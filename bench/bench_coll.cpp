@@ -22,16 +22,14 @@
  */
 
 #include <cstring>
-#include <fstream>
-#include <iomanip>
-#include <limits>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "coll/campaign.hpp"
 #include "core/radix_solver.hpp"
 #include "obs/run_manifest.hpp"
 #include "topology/clos.hpp"
+#include "util/artifact.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -153,31 +151,26 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     if (json_path) {
-        std::ofstream os(json_path);
-        if (!os)
-            fatal("cannot open '", json_path, "' for writing");
-        os << std::setprecision(
-            std::numeric_limits<double>::max_digits10);
-        os << "{\n  \"bench\": \"coll\",\n  \"smoke\": "
-           << (smoke ? "true" : "false") << ",\n  \"ws_design\": \""
-           << ws.name << "\",\n  \"conv_design\": \"" << conv.name
-           << "\",\n  \"ranks\": " << cfg.ranks
-           << ",\n  \"points\": [";
-        for (std::size_t i = 0; i < result.cells.size(); ++i) {
-            const auto &c = result.cells[i];
-            os << (i ? ",\n" : "\n") << "    {\"name\": \""
-               << c.design << "/" << c.collective
-               << "\", \"rate\": " << c.payload_bytes
-               << ", \"busbw_gbps\": " << c.flow.busbw_gbps
-               << ", \"flow_us\": " << c.flow.seconds * 1e6
-               << ", \"model_us\": " << c.model.seconds * 1e6
-               << ", \"steps\": " << c.flow.steps
-               << ", \"messages\": " << c.flow.messages
-               << ", \"failed\": " << c.flow.failed_messages << "}";
-        }
-        os << "\n  ]\n}\n";
-        if (!os.flush())
-            fatal("short write to '", json_path, "'");
+        util::writeArtifactFile(
+            json_path, "bench_coll", [&](std::ostream &os) {
+                util::JsonWriter json(os);
+                json.beginObject(util::JsonWriter::kLines)
+                    .field("bench", "coll").field("smoke", smoke)
+                    .field("ws_design", ws.name).field("conv_design", conv.name)
+                    .field("ranks", cfg.ranks)
+                    .key("points").beginArray(util::JsonWriter::kLines);
+                for (const auto &c : result.cells)
+                    json.beginObject()
+                        .field("name", c.design + "/" + c.collective)
+                        .field("rate", c.payload_bytes)
+                        .field("busbw_gbps", c.flow.busbw_gbps)
+                        .field("flow_us", c.flow.seconds * 1e6)
+                        .field("model_us", c.model.seconds * 1e6)
+                        .field("steps", c.flow.steps)
+                        .field("messages", c.flow.messages)
+                        .field("failed", c.flow.failed_messages).end();
+                json.end().end();
+            });
         inform("Collectives JSON written to ", json_path);
 
         // Provenance sibling: bench_compare.py refuses to diff two

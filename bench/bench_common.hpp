@@ -20,7 +20,6 @@
 #define WSS_BENCH_COMMON_HPP
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -92,17 +91,11 @@ inline void
 reportCampaign(const exec::CampaignResult &result)
 {
     if (const char *path = std::getenv("WSS_BENCH_CSV")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '", path, "' for writing");
-        result.writeCsv(os);
+        result.writeCsvFile(path);
         inform("campaign CSV written to ", path);
     }
     if (const char *path = std::getenv("WSS_BENCH_JSON")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '", path, "' for writing");
-        result.writeJson(os);
+        result.writeJsonFile(path);
         inform("campaign JSON written to ", path);
     }
     double busy = 0.0;
@@ -110,8 +103,9 @@ reportCampaign(const exec::CampaignResult &result)
         busy += job.seconds;
     // busy sums each cell's wall time, so busy/wall measures lane
     // occupancy (how many cells ran concurrently), not speedup —
-    // compare wall at --jobs N vs --jobs 1 for that.
-    std::cout << "\n[campaign] " << result.jobs.size() << " jobs on "
+    // compare wall at --jobs N vs --jobs 1 for that. Timing goes to
+    // stderr so a figure's stdout stays byte-identical across runs.
+    std::cerr << "\n[campaign] " << result.jobs.size() << " jobs on "
               << result.threads << " threads: wall "
               << Table::num(result.wall_seconds, 2)
               << " s, cell-seconds " << Table::num(busy, 2)

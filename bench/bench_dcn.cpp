@@ -22,13 +22,14 @@
  */
 
 #include <cstring>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "core/radix_solver.hpp"
 #include "flow/dcn_campaign.hpp"
 #include "obs/run_manifest.hpp"
 #include "topology/clos.hpp"
+#include "util/artifact.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -167,17 +168,16 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     if (json_path) {
-        std::ostringstream campaign;
-        result.writeJson(campaign);
-        std::ofstream os(json_path);
-        if (!os)
-            fatal("cannot open '", json_path, "' for writing");
-        os << "{\n  \"bench\": \"dcn\",\n  \"smoke\": "
-           << (smoke ? "true" : "false") << ",\n  \"ws_design\": \""
-           << ws.name << "\",\n  \"conv_design\": \"" << conv.name
-           << "\",\n  \"campaign\": " << campaign.str() << "}\n";
-        if (!os.flush())
-            fatal("short write to '", json_path, "'");
+        util::writeArtifactFile(
+            json_path, "bench_dcn", [&](std::ostream &os) {
+                util::JsonWriter json(os);
+                json.beginObject(util::JsonWriter::kLines)
+                    .field("bench", "dcn").field("smoke", smoke)
+                    .field("ws_design", ws.name).field("conv_design", conv.name)
+                    .key("campaign");
+                result.writeJson(json);
+                json.end();
+            });
         inform("DCN JSON written to ", json_path);
 
         // Provenance sibling: bench_compare.py refuses to diff two

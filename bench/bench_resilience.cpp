@@ -59,17 +59,11 @@ main()
     table.print(std::cout);
 
     if (const char *path = std::getenv("WSS_BENCH_CSV")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '", path, "' for writing");
-        result.writeCsv(os);
+        result.writeCsvFile(path);
         inform("resilience CSV written to ", path);
     }
     if (const char *path = std::getenv("WSS_BENCH_JSON")) {
-        std::ofstream os(path);
-        if (!os)
-            fatal("cannot open '", path, "' for writing");
-        result.writeJson(os);
+        result.writeJsonFile(path);
         inform("resilience JSON written to ", path);
     }
 

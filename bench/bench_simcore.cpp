@@ -47,6 +47,7 @@
 #include "topology/clos.hpp"
 #include "topology/mesh.hpp"
 #include "util/artifact.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -148,23 +149,21 @@ writeJson(const std::string &path, const std::vector<Measurement> &runs,
           bool smoke)
 {
     util::writeArtifactFile(path, "bench_simcore", [&](std::ostream &os) {
-        os << "{\n  \"bench\": \"simcore\",\n  \"smoke\": "
-           << (smoke ? "true" : "false") << ",\n  \"points\": [\n";
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            const Measurement &m = runs[i];
-            os << "    {\"name\": \"" << m.name << "\", \"rate\": "
-               << m.rate << ", \"observe\": "
-               << (m.observe ? "true" : "false")
-               << ", \"wall_seconds\": " << m.wall_seconds
-               << ", \"mflits_per_second\": " << m.mflits_per_second
-               << ", \"kcycles_per_second\": " << m.kcycles_per_second
-               << ", \"end_cycle\": " << m.end_cycle
-               << ", \"flits_delivered\": " << m.flits_delivered
-               << ", \"accepted\": " << m.accepted << ", \"stable\": "
-               << (m.stable ? "true" : "false") << "}"
-               << (i + 1 < runs.size() ? "," : "") << "\n";
-        }
-        os << "  ]\n}\n";
+        util::JsonWriter json(os);
+        json.beginObject(util::JsonWriter::kLines)
+            .field("bench", "simcore").field("smoke", smoke)
+            .key("points").beginArray(util::JsonWriter::kLines);
+        for (const Measurement &m : runs)
+            json.beginObject()
+                .field("name", m.name).field("rate", m.rate)
+                .field("observe", m.observe)
+                .field("wall_seconds", m.wall_seconds)
+                .field("mflits_per_second", m.mflits_per_second)
+                .field("kcycles_per_second", m.kcycles_per_second)
+                .field("end_cycle", m.end_cycle)
+                .field("flits_delivered", m.flits_delivered)
+                .field("accepted", m.accepted).field("stable", m.stable).end();
+        json.end().end();
     });
     inform("simcore JSON written to ", path);
 }

@@ -1,7 +1,5 @@
 #include "coll/campaign.hpp"
 
-#include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -9,35 +7,11 @@
 #include "exec/campaign.hpp"
 #include "flow/dcn_topology.hpp"
 #include "util/artifact.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
 
 namespace wss::coll {
-
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::vector<CollSpec>
 defaultCollSpecs()
@@ -215,30 +189,26 @@ CollResult::writeCsv(std::ostream &os) const
 void
 CollResult::writeJson(std::ostream &os) const
 {
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "{\n  \"wall_seconds\": " << wall_seconds
-       << ",\n  \"threads\": " << threads << ",\n  \"cells\": [";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const auto &c = cells[i];
-        os << (i ? ",\n" : "\n") << "    {\"design\": \""
-           << jsonEscape(c.design) << "\", \"collective\": \""
-           << jsonEscape(c.collective) << "\", \"ranks\": " << c.ranks
-           << ", \"payload_bytes\": " << c.payload_bytes
-           << ", \"topology\": \"" << jsonEscape(c.topology)
-           << "\", \"switches\": " << c.switches
-           << ", \"tiers\": " << c.tiers << ", \"hops\": " << c.hops
-           << ", \"steps\": " << c.flow.steps
-           << ", \"messages\": " << c.flow.messages
-           << ", \"bytes_on_wire\": " << c.flow.bytes_on_wire
-           << ", \"failed\": " << c.flow.failed_messages
-           << ", \"flow_seconds\": " << c.flow.seconds
-           << ", \"flow_algbw_gbps\": " << c.flow.algbw_gbps
-           << ", \"flow_busbw_gbps\": " << c.flow.busbw_gbps
-           << ", \"model_seconds\": " << c.model.seconds
-           << ", \"model_busbw_gbps\": " << c.model.busbw_gbps
-           << ", \"seconds\": " << c.seconds << "}";
-    }
-    os << "\n  ]\n}\n";
+    util::JsonWriter json(os);
+    json.beginObject(util::JsonWriter::kLines)
+        .field("wall_seconds", wall_seconds).field("threads", threads)
+        .key("cells").beginArray(util::JsonWriter::kLines);
+    for (const auto &c : cells)
+        json.beginObject()
+            .field("design", c.design).field("collective", c.collective)
+            .field("ranks", c.ranks).field("payload_bytes", c.payload_bytes)
+            .field("topology", c.topology).field("switches", c.switches)
+            .field("tiers", c.tiers).field("hops", c.hops)
+            .field("steps", c.flow.steps).field("messages", c.flow.messages)
+            .field("bytes_on_wire", c.flow.bytes_on_wire)
+            .field("failed", c.flow.failed_messages)
+            .field("flow_seconds", c.flow.seconds)
+            .field("flow_algbw_gbps", c.flow.algbw_gbps)
+            .field("flow_busbw_gbps", c.flow.busbw_gbps)
+            .field("model_seconds", c.model.seconds)
+            .field("model_busbw_gbps", c.model.busbw_gbps)
+            .field("seconds", c.seconds).end();
+    json.end().end();
 }
 
 void

@@ -11,6 +11,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/watchdog.hpp"
 #include "util/artifact.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/stats_accumulator.hpp"
 
@@ -24,28 +25,6 @@ elapsedSeconds(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control).
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -310,40 +289,35 @@ CampaignResult::writeCsv(std::ostream &os) const
 void
 CampaignResult::writeJson(std::ostream &os) const
 {
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "{\n  \"wall_seconds\": " << wall_seconds
-       << ",\n  \"threads\": " << threads << ",\n  \"jobs\": [";
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const auto &job = jobs[j];
-        os << (j ? ",\n" : "\n") << "    {\"name\": \""
-           << jsonEscape(job.name) << "\", \"kind\": \"" << job.kind
-           << "\", \"seconds\": " << job.seconds
-           << ", \"cells\": " << job.cells
-           << ", \"mean_cell_seconds\": " << job.mean_cell_seconds
-           << ", \"max_cell_seconds\": " << job.max_cell_seconds
-           << ", \"p95_cell_seconds\": " << job.p95_cell_seconds;
+    util::JsonWriter json(os);
+    json.beginObject(util::JsonWriter::kLines)
+        .field("wall_seconds", wall_seconds).field("threads", threads)
+        .key("jobs").beginArray(util::JsonWriter::kLines);
+    for (const auto &job : jobs) {
+        json.beginObject()
+            .field("name", job.name).field("kind", job.kind)
+            .field("seconds", job.seconds).field("cells", job.cells)
+            .field("mean_cell_seconds", job.mean_cell_seconds)
+            .field("max_cell_seconds", job.max_cell_seconds)
+            .field("p95_cell_seconds", job.p95_cell_seconds);
         if (job.kind == "sweep") {
-            os << ", \"repetitions\": " << job.sweep.reps.size()
-               << ", \"zero_load_latency\": "
-               << job.sweep.combined.zero_load_latency
-               << ", \"saturation_throughput\": "
-               << job.sweep.combined.saturation_throughput
-               << ", \"points\": [";
-            const auto &points = job.sweep.combined.points;
-            for (std::size_t i = 0; i < points.size(); ++i) {
-                const auto &p = points[i];
-                os << (i ? ", " : "") << "{\"offered\": " << p.offered
-                   << ", \"accepted\": " << p.accepted
-                   << ", \"avg_latency\": " << p.avg_latency
-                   << ", \"p99_latency\": " << p.p99_latency
-                   << ", \"stable\": " << (p.stable ? "true" : "false")
-                   << "}";
-            }
-            os << "]";
+            json.field("repetitions", job.sweep.reps.size())
+                .field("zero_load_latency",
+                       job.sweep.combined.zero_load_latency)
+                .field("saturation_throughput",
+                       job.sweep.combined.saturation_throughput)
+                .key("points").beginArray();
+            for (const auto &p : job.sweep.combined.points)
+                json.beginObject()
+                    .field("offered", p.offered).field("accepted", p.accepted)
+                    .field("avg_latency", p.avg_latency)
+                    .field("p99_latency", p.p99_latency)
+                    .field("stable", p.stable).end();
+            json.end();
         }
-        os << "}";
+        json.end();
     }
-    os << "\n  ]\n}\n";
+    json.end().end();
 }
 
 void

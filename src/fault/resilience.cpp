@@ -1,7 +1,5 @@
 #include "fault/resilience.hpp"
 
-#include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -12,6 +10,7 @@
 #include "sim/workload.hpp"
 #include "topology/clos.hpp"
 #include "util/artifact.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/seed.hpp"
 #include "util/table.hpp"
@@ -26,28 +25,6 @@ namespace {
 // count.
 constexpr std::uint64_t kHealthySimStream = 0xe5f1u << 16;
 constexpr std::uint64_t kDegradedSimStream = 0xd3a7u << 16;
-
-/// Minimal JSON string escaping (quotes, backslashes, control).
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 /// Accepted uniform-traffic throughput of @p topo at cfg.sim_rate
 /// (flits/terminal/cycle). Fabrics with fewer than two terminals
@@ -281,35 +258,30 @@ ResilienceResult::writeCsv(std::ostream &os) const
 void
 ResilienceResult::writeJson(std::ostream &os) const
 {
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "{\n  \"wall_seconds\": " << wall_seconds
-       << ",\n  \"threads\": " << threads << ",\n  \"cells\": [";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const auto &c = cells[i];
-        os << (i ? ",\n" : "\n") << "    {\"topology\": \""
-           << jsonEscape(c.topology) << "\", \"ports\": " << c.ports
-           << ", \"chiplets\": " << c.chiplets
-           << ", \"defect_density\": " << c.defect_density
-           << ", \"spares\": " << c.spares
-           << ", \"samples\": " << c.samples
-           << ", \"p_node_fail\": " << c.p_node_fail
-           << ", \"p_link_fail\": " << c.p_link_fail
-           << ", \"survival\": " << c.survival
-           << ", \"p_degraded\": " << c.p_degraded
-           << ", \"p_partitioned\": " << c.p_partitioned
-           << ", \"expected_usable_ports\": "
-           << c.expected_usable_ports
-           << ", \"usable_fraction\": " << c.usable_fraction
-           << ", \"mean_bisection_fraction\": "
-           << c.mean_bisection_fraction
-           << ", \"analytic_bond_yield\": " << c.analytic_bond_yield
-           << ", \"sim_samples\": " << c.sim_samples
-           << ", \"healthy_throughput\": " << c.healthy_throughput
-           << ", \"mean_degraded_throughput\": "
-           << c.mean_degraded_throughput
-           << ", \"seconds\": " << c.seconds << "}";
-    }
-    os << "\n  ]\n}\n";
+    util::JsonWriter json(os);
+    json.beginObject(util::JsonWriter::kLines)
+        .field("wall_seconds", wall_seconds).field("threads", threads)
+        .key("cells").beginArray(util::JsonWriter::kLines);
+    for (const auto &c : cells)
+        json.beginObject()
+            .field("topology", c.topology).field("ports", c.ports)
+            .field("chiplets", c.chiplets)
+            .field("defect_density", c.defect_density)
+            .field("spares", c.spares).field("samples", c.samples)
+            .field("p_node_fail", c.p_node_fail)
+            .field("p_link_fail", c.p_link_fail).field("survival", c.survival)
+            .field("p_degraded", c.p_degraded)
+            .field("p_partitioned", c.p_partitioned)
+            .field("expected_usable_ports", c.expected_usable_ports)
+            .field("usable_fraction", c.usable_fraction)
+            .field("mean_bisection_fraction", c.mean_bisection_fraction)
+            .field("analytic_bond_yield", c.analytic_bond_yield)
+            .field("sim_samples", c.sim_samples)
+            .field("healthy_throughput", c.healthy_throughput)
+            .field("mean_degraded_throughput",
+                   c.mean_degraded_throughput)
+            .field("seconds", c.seconds).end();
+    json.end().end();
 }
 
 void

@@ -1,13 +1,12 @@
 #include "flow/dcn_campaign.hpp"
 
-#include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "exec/campaign.hpp"
 #include "util/artifact.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/seed.hpp"
 #include "util/table.hpp"
@@ -19,27 +18,6 @@ namespace {
 /// Seed-stream offset keeping fault sampling disjoint from workload
 /// generation within one cell.
 constexpr std::uint64_t kFaultStream = 0xfa17u << 16;
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 } // namespace
 
@@ -197,39 +175,42 @@ DcnResult::writeCsv(std::ostream &os) const
 void
 DcnResult::writeJson(std::ostream &os) const
 {
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "{\n  \"wall_seconds\": " << wall_seconds
-       << ",\n  \"threads\": " << threads << ",\n  \"cells\": [";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const auto &c = cells[i];
+    util::JsonWriter json(os);
+    writeJson(json);
+}
+
+void
+DcnResult::writeJson(util::JsonWriter &json) const
+{
+    // Laid out as a top-level document wherever it sits:
+    // BENCH_dcn.json embeds it unindented under "campaign".
+    constexpr util::JsonLayout kDocument{
+        .lines = true, .indent = 2, .close = 0};
+    json.beginObject(kDocument)
+        .field("wall_seconds", wall_seconds).field("threads", threads)
+        .key("cells").beginArray(util::JsonWriter::kLines);
+    for (const auto &c : cells) {
         const auto &s = c.sim;
-        os << (i ? ",\n" : "\n") << "    {\"design\": \""
-           << jsonEscape(c.design) << "\", \"topology\": \""
-           << jsonEscape(c.topology) << "\", \"workload\": \""
-           << jsonEscape(c.workload) << "\", \"load\": " << c.load
-           << ", \"hosts\": " << c.hosts
-           << ", \"switches\": " << c.switches
-           << ", \"tiers\": " << c.tiers << ", \"cables\": " << c.cables
-           << ", \"worst_hops\": " << c.worst_hops
-           << ", \"power_kw\": " << c.power_kw
-           << ", \"flows\": " << s.started
-           << ", \"completed\": " << s.completed
-           << ", \"failed\": " << s.failed
-           << ", \"rerouted\": " << s.rerouted
-           << ", \"fault_events\": " << s.fault_events
-           << ", \"avg_hops\": " << s.avg_hops
-           << ", \"throughput_gbps\": " << s.throughput_gbps
-           << ", \"fct_avg_s\": " << s.fct_avg_s
-           << ", \"fct_p50_s\": " << s.fct_p50_s
-           << ", \"fct_p99_s\": " << s.fct_p99_s
-           << ", \"fct_p999_s\": " << s.fct_p999_s
-           << ", \"slowdown_avg\": " << s.slowdown_avg
-           << ", \"slowdown_p50\": " << s.slowdown_p50
-           << ", \"slowdown_p99\": " << s.slowdown_p99
-           << ", \"slowdown_p999\": " << s.slowdown_p999
-           << ", \"seconds\": " << c.seconds << "}";
+        json.beginObject()
+            .field("design", c.design).field("topology", c.topology)
+            .field("workload", c.workload).field("load", c.load)
+            .field("hosts", c.hosts).field("switches", c.switches)
+            .field("tiers", c.tiers).field("cables", c.cables)
+            .field("worst_hops", c.worst_hops).field("power_kw", c.power_kw)
+            .field("flows", s.started).field("completed", s.completed)
+            .field("failed", s.failed).field("rerouted", s.rerouted)
+            .field("fault_events", s.fault_events)
+            .field("avg_hops", s.avg_hops)
+            .field("throughput_gbps", s.throughput_gbps)
+            .field("fct_avg_s", s.fct_avg_s).field("fct_p50_s", s.fct_p50_s)
+            .field("fct_p99_s", s.fct_p99_s).field("fct_p999_s", s.fct_p999_s)
+            .field("slowdown_avg", s.slowdown_avg)
+            .field("slowdown_p50", s.slowdown_p50)
+            .field("slowdown_p99", s.slowdown_p99)
+            .field("slowdown_p999", s.slowdown_p999)
+            .field("seconds", c.seconds).end();
     }
-    os << "\n  ]\n}\n";
+    json.end().end();
 }
 
 void

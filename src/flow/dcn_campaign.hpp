@@ -34,6 +34,10 @@
 #include "obs/profiler.hpp"
 #include "obs/trace_event.hpp"
 
+namespace wss::util {
+class JsonWriter;
+} // namespace wss::util
+
 namespace wss::flow {
 
 /// The sweep grid of one DCN campaign.
@@ -94,6 +98,8 @@ struct DcnResult
     void writeCsv(std::ostream &os) const;
     /// Full-precision nested summary, including timing.
     void writeJson(std::ostream &os) const;
+    /// The same object written as the next value of @p json.
+    void writeJson(util::JsonWriter &json) const;
 
     /// Flush-checked file counterparts (fatal on I/O error).
     void writeCsvFile(const std::string &path) const;

@@ -1,17 +1,15 @@
 #include "flow/switch_profile.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <fstream>
-#include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "exec/sweep_runner.hpp"
 #include "sim/traffic.hpp"
 #include "topology/clos.hpp"
 #include "util/artifact.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace wss::flow {
@@ -45,177 +43,6 @@ interpolate(const std::vector<ProfilePoint> &points, double zero_load,
     return y0;
 }
 
-// ---------------------------------------------------------------
-// A minimal recursive-descent JSON reader — just enough for the
-// documents writeJson() emits (objects, arrays, numbers, strings,
-// booleans). No dependencies; fatal() on malformed input.
-// ---------------------------------------------------------------
-
-class JsonReader
-{
-  public:
-    explicit JsonReader(std::string text) : text_(std::move(text)) {}
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            fatal("SwitchProfile JSON: unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fatal("SwitchProfile JSON: expected '", std::string(1, c),
-                  "' at offset ", pos_, ", got '",
-                  std::string(1, text_[pos_]), "'");
-        ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fatal("SwitchProfile JSON: dangling escape");
-                const char e = text_[pos_++];
-                switch (e) {
-                case 'n': c = '\n'; break;
-                case 't': c = '\t'; break;
-                case '"': c = '"'; break;
-                case '\\': c = '\\'; break;
-                case '/': c = '/'; break;
-                default:
-                    fatal("SwitchProfile JSON: unsupported escape \\",
-                          std::string(1, e));
-                }
-            }
-            out += c;
-        }
-        if (pos_ >= text_.size())
-            fatal("SwitchProfile JSON: unterminated string");
-        ++pos_; // closing quote
-        return out;
-    }
-
-    double
-    parseNumber()
-    {
-        skipSpace();
-        std::size_t end = pos_;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '-' || text_[end] == '+' ||
-                text_[end] == '.' || text_[end] == 'e' ||
-                text_[end] == 'E'))
-            ++end;
-        if (end == pos_)
-            fatal("SwitchProfile JSON: expected a number at offset ",
-                  pos_);
-        const std::string token = text_.substr(pos_, end - pos_);
-        pos_ = end;
-        try {
-            return std::stod(token);
-        } catch (const std::exception &) {
-            fatal("SwitchProfile JSON: bad number '", token, "'");
-        }
-    }
-
-    /// Skip one value of any type (for unknown keys: forward
-    /// compatibility with future profile fields).
-    void
-    skipValue()
-    {
-        const char c = peek();
-        if (c == '"') {
-            parseString();
-        } else if (c == '{') {
-            ++pos_;
-            if (consume('}'))
-                return;
-            do {
-                parseString();
-                expect(':');
-                skipValue();
-            } while (consume(','));
-            expect('}');
-        } else if (c == '[') {
-            ++pos_;
-            if (consume(']'))
-                return;
-            do {
-                skipValue();
-            } while (consume(','));
-            expect(']');
-        } else if (c == 't' || c == 'f' || c == 'n') {
-            while (pos_ < text_.size() &&
-                   std::isalpha(static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-        } else {
-            parseNumber();
-        }
-    }
-
-  private:
-    std::string text_;
-    std::size_t pos_ = 0;
-};
-
-/// Full-precision double that round-trips bit-exactly.
-std::string
-jsonNumber(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 double
@@ -235,27 +62,24 @@ SwitchProfile::p99LatencyCycles(double offered) const
 void
 SwitchProfile::writeJson(std::ostream &os) const
 {
-    os << "{\n";
-    os << "  \"wss_switch_profile\": 1,\n";
-    os << "  \"name\": \"" << jsonEscape(name) << "\",\n";
-    os << "  \"radix\": " << radix << ",\n";
-    os << "  \"line_rate_gbps\": " << jsonNumber(line_rate_gbps)
-       << ",\n";
-    os << "  \"cycle_seconds\": " << jsonNumber(cycle_seconds) << ",\n";
-    os << "  \"power_watts\": " << jsonNumber(power_watts) << ",\n";
-    os << "  \"zero_load_latency\": " << jsonNumber(zero_load_latency)
-       << ",\n";
-    os << "  \"saturation\": " << jsonNumber(saturation) << ",\n";
-    os << "  \"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        os << (i ? ",\n             " : "\n             ");
-        os << "{\"offered\": " << jsonNumber(points[i].offered)
-           << ", \"avg_latency\": " << jsonNumber(points[i].avg_latency)
-           << ", \"p99_latency\": " << jsonNumber(points[i].p99_latency)
-           << "}";
-    }
-    os << (points.empty() ? "]\n" : "\n  ]\n");
-    os << "}\n";
+    // Points sit at column 13 ('  "points": [' plus one): the tracked
+    // hostbench/profiles/*.json files round-trip byte for byte.
+    constexpr util::JsonLayout kPoints{
+        .lines = true, .indent = 13, .compact_empty = true};
+    util::JsonWriter json(os);
+    json.beginObject(util::JsonWriter::kLines)
+        .field("wss_switch_profile", 1).field("name", name)
+        .field("radix", radix).field("line_rate_gbps", line_rate_gbps)
+        .field("cycle_seconds", cycle_seconds)
+        .field("power_watts", power_watts)
+        .field("zero_load_latency", zero_load_latency)
+        .field("saturation", saturation).key("points").beginArray(kPoints);
+    for (const auto &point : points)
+        json.beginObject()
+            .field("offered", point.offered)
+            .field("avg_latency", point.avg_latency)
+            .field("p99_latency", point.p99_latency).end();
+    json.end().end();
 }
 
 void
@@ -268,72 +92,45 @@ SwitchProfile::writeJsonFile(const std::string &path) const
 SwitchProfile
 SwitchProfile::fromJson(std::istream &is)
 {
+    constexpr std::string_view kWhat = "SwitchProfile JSON";
     std::ostringstream buffer;
     buffer << is.rdbuf();
-    JsonReader reader(buffer.str());
+    const util::JsonValue doc = util::JsonValue::parse(buffer.str(), kWhat);
+    doc.asObject(kWhat);
 
-    SwitchProfile profile;
-    bool versioned = false;
-
-    reader.expect('{');
-    if (!reader.consume('}')) {
-        do {
-            const std::string key = reader.parseString();
-            reader.expect(':');
-            if (key == "wss_switch_profile") {
-                versioned = true;
-                const double v = reader.parseNumber();
-                if (v != 1.0)
-                    fatal("SwitchProfile JSON: unsupported version ", v);
-            } else if (key == "name") {
-                profile.name = reader.parseString();
-            } else if (key == "radix") {
-                profile.radix =
-                    static_cast<std::int64_t>(reader.parseNumber());
-            } else if (key == "line_rate_gbps") {
-                profile.line_rate_gbps = reader.parseNumber();
-            } else if (key == "cycle_seconds") {
-                profile.cycle_seconds = reader.parseNumber();
-            } else if (key == "power_watts") {
-                profile.power_watts = reader.parseNumber();
-            } else if (key == "zero_load_latency") {
-                profile.zero_load_latency = reader.parseNumber();
-            } else if (key == "saturation") {
-                profile.saturation = reader.parseNumber();
-            } else if (key == "points") {
-                reader.expect('[');
-                if (!reader.consume(']')) {
-                    do {
-                        ProfilePoint point;
-                        reader.expect('{');
-                        do {
-                            const std::string field =
-                                reader.parseString();
-                            reader.expect(':');
-                            if (field == "offered")
-                                point.offered = reader.parseNumber();
-                            else if (field == "avg_latency")
-                                point.avg_latency = reader.parseNumber();
-                            else if (field == "p99_latency")
-                                point.p99_latency = reader.parseNumber();
-                            else
-                                reader.skipValue();
-                        } while (reader.consume(','));
-                        reader.expect('}');
-                        profile.points.push_back(point);
-                    } while (reader.consume(','));
-                    reader.expect(']');
-                }
-            } else {
-                reader.skipValue();
-            }
-        } while (reader.consume(','));
-        reader.expect('}');
-    }
-
-    if (!versioned)
+    const util::JsonValue *version = doc.find("wss_switch_profile");
+    if (!version)
         fatal("SwitchProfile JSON: missing wss_switch_profile marker "
               "(is this really a profile file?)");
+    if (const double v = version->asNumber(kWhat); v != 1.0)
+        fatal("SwitchProfile JSON: unsupported version ", v);
+
+    // Unknown members are ignored (forward compatibility); missing
+    // ones keep their defaults.
+    SwitchProfile profile;
+    profile.name = doc.stringOr("name", profile.name);
+    // Out-of-range radices read as 0 (rejected below): casting them
+    // to an integer would be undefined.
+    const double radix = doc.numberOr("radix", 0.0);
+    profile.radix =
+        radix > 0.0 && radix < 0x1p63 ? static_cast<std::int64_t>(radix) : 0;
+    profile.line_rate_gbps =
+        doc.numberOr("line_rate_gbps", profile.line_rate_gbps);
+    profile.cycle_seconds =
+        doc.numberOr("cycle_seconds", profile.cycle_seconds);
+    profile.power_watts = doc.numberOr("power_watts", profile.power_watts);
+    profile.zero_load_latency =
+        doc.numberOr("zero_load_latency", profile.zero_load_latency);
+    profile.saturation = doc.numberOr("saturation", profile.saturation);
+    if (const util::JsonValue *points = doc.find("points")) {
+        for (const util::JsonValue &p : points->asArray(kWhat)) {
+            p.asObject(kWhat);
+            profile.points.push_back({p.numberOr("offered", 0.0),
+                                      p.numberOr("avg_latency", 0.0),
+                                      p.numberOr("p99_latency", 0.0)});
+        }
+    }
+
     if (profile.radix <= 0 || profile.line_rate_gbps <= 0.0)
         fatal("SwitchProfile JSON: radix and line_rate_gbps must be "
               "positive");

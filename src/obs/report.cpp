@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <limits>
 #include <map>
 #include <sstream>
 
@@ -16,44 +16,6 @@
 namespace wss::obs {
 
 namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-std::string
-hexString(std::uint64_t v)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
 
 /// Directory part of @p path ("." when it has none).
 std::string
@@ -92,8 +54,8 @@ struct CsvRow
 };
 
 /// Parse the repo's long-format CSVs: `#` comments and the header
-/// line are skipped, short or non-numeric rows are ignored (a
-/// corrupt artifact already fails the hash check).
+/// line are skipped, short, non-numeric or non-finite rows are
+/// ignored (a corrupt artifact already fails the hash check).
 std::vector<CsvRow>
 parseLongCsv(const std::string &content)
 {
@@ -117,12 +79,16 @@ parseLongCsv(const std::string &content)
         if (field < 4)
             continue;
         fields[4] = line.substr(start);
+        double value = 0.0;
         try {
-            rows.push_back({fields[0], fields[1], fields[2], fields[3],
-                            std::stod(fields[4])});
+            value = std::stod(fields[4]);
         } catch (const std::exception &) {
-            // Non-numeric value cell: not one of ours.
+            continue; // non-numeric value cell: not one of ours
         }
+        if (!std::isfinite(value))
+            continue; // nan/inf: no writer of ours emits them either
+        rows.push_back(
+            {fields[0], fields[1], fields[2], fields[3], value});
     }
     return rows;
 }
@@ -497,10 +463,10 @@ buildRunReport(const ReportOptions &opts)
                        bytes == view.total_bytes;
             std::ostringstream detail;
             detail << "per-step sums " << messages << " msgs, "
-                   << failed << " failed, " << jsonNumber(bytes)
-                   << " B; totals " << view.total_messages << ", "
-                   << view.total_failed << ", "
-                   << jsonNumber(view.total_bytes);
+                   << failed << " failed, "
+                   << util::JsonWriter::number(bytes) << " B; totals "
+                   << view.total_messages << ", " << view.total_failed
+                   << ", " << util::JsonWriter::number(view.total_bytes);
             check.detail = detail.str();
             report.checks.push_back(std::move(check));
             colls.push_back(std::move(view));
@@ -598,11 +564,12 @@ buildRunReport(const ReportOptions &opts)
     if (title.empty())
         title = crash.tool.empty() ? "(unknown tool)"
                                    : crash.tool + " (crashed run)";
+    const std::string identity_hash =
+        RunManifest::hashText(manifest.identityHash());
     std::ostringstream md;
     md << "# wss run report: " << title << "\n\n";
     if (have_manifest) {
-        md << "- identity hash: `" << hexString(manifest.identityHash())
-           << "`\n";
+        md << "- identity hash: `" << identity_hash << "`\n";
         md << "- seed: " << manifest.seed() << "\n";
         md << "- jobs: " << manifest.jobs() << "\n";
     }
@@ -745,44 +712,31 @@ buildRunReport(const ReportOptions &opts)
 
     // ---- render JSON --------------------------------------------
     std::ostringstream js;
-    js << "{\n  \"wss_run_report\": 1,\n";
-    js << "  \"tool\": \"" << jsonEscape(manifest.tool()) << "\",\n";
-    js << "  \"identity_hash\": \""
-       << hexString(manifest.identityHash()) << "\",\n";
-    js << "  \"seed\": \"" << manifest.seed() << "\",\n";
-    js << "  \"jobs\": " << manifest.jobs() << ",\n";
-    js << "  \"ok\": " << (report.ok() ? "true" : "false") << ",\n";
-    js << "  \"checks\": [";
-    for (std::size_t i = 0; i < report.checks.size(); ++i) {
-        const ReportCheck &check = report.checks[i];
-        js << (i ? ",\n" : "\n") << "    {\"name\": \""
-           << jsonEscape(check.name) << "\", \"ok\": "
-           << (check.ok ? "true" : "false") << ", \"detail\": \""
-           << jsonEscape(check.detail) << "\"}";
-    }
-    js << (report.checks.empty() ? "]" : "\n  ]") << ",\n";
-    js << "  \"phases\": [";
-    for (std::size_t i = 0; i < phase_rows.size(); ++i) {
-        const PhaseRow &row = phase_rows[i];
-        js << (i ? ",\n" : "\n") << "    {\"path\": \""
-           << jsonEscape(row.path) << "\", \"calls\": " << row.calls
-           << ", \"seconds\": " << jsonNumber(row.seconds)
-           << ", \"self_seconds\": " << jsonNumber(row.self_seconds)
-           << "}";
-    }
-    js << (phase_rows.empty() ? "]" : "\n  ]") << ",\n";
-    js << "  \"links\": [";
-    for (std::size_t i = 0; i < hot_links.size(); ++i) {
-        const HotLink &link = hot_links[i];
-        js << (i ? ",\n" : "\n") << "    {\"link\": \""
-           << jsonEscape(link.link) << "\", \"peak_utilization\": "
-           << jsonNumber(link.peak_utilization)
-           << ", \"peak_window\": " << link.peak_window
-           << ", \"saturated_windows\": " << link.saturated_windows
-           << "}";
-    }
-    js << (hot_links.empty() ? "]" : "\n  ]") << ",\n";
-    js << "  \"flow_totals\": {";
+    util::JsonWriter json(js);
+    json.beginObject(util::JsonWriter::kLines)
+        .field("wss_run_report", 1).field("tool", manifest.tool())
+        .field("identity_hash", identity_hash)
+        .field("seed", std::to_string(manifest.seed()))
+        .field("jobs", manifest.jobs()).field("ok", report.ok())
+        .key("checks").beginArray(util::JsonWriter::kLinesCompact);
+    for (const ReportCheck &check : report.checks)
+        json.beginObject()
+            .field("name", check.name).field("ok", check.ok)
+            .field("detail", check.detail).end();
+    json.end().key("phases").beginArray(util::JsonWriter::kLinesCompact);
+    for (const PhaseRow &row : phase_rows)
+        json.beginObject()
+            .field("path", row.path).field("calls", row.calls)
+            .field("seconds", row.seconds)
+            .field("self_seconds", row.self_seconds).end();
+    json.end().key("links").beginArray(util::JsonWriter::kLinesCompact);
+    for (const HotLink &link : hot_links)
+        json.beginObject()
+            .field("link", link.link)
+            .field("peak_utilization", link.peak_utilization)
+            .field("peak_window", link.peak_window)
+            .field("saturated_windows", link.saturated_windows).end();
+    json.end();
     {
         double started = 0, completed = 0, failed = 0, bytes = 0;
         for (const FlowView &view : flows) {
@@ -791,13 +745,10 @@ buildRunReport(const ReportOptions &opts)
             failed += view.total_failed;
             bytes += view.total_completed_bytes;
         }
-        js << "\"started\": " << jsonNumber(started)
-           << ", \"completed\": " << jsonNumber(completed)
-           << ", \"failed\": " << jsonNumber(failed)
-           << ", \"completed_bytes\": " << jsonNumber(bytes);
+        json.key("flow_totals").beginObject()
+            .field("started", started).field("completed", completed)
+            .field("failed", failed).field("completed_bytes", bytes).end();
     }
-    js << "},\n";
-    js << "  \"coll_totals\": {";
     {
         double messages = 0, failed = 0, bytes = 0;
         for (const CollView &view : colls) {
@@ -805,37 +756,32 @@ buildRunReport(const ReportOptions &opts)
             failed += view.total_failed;
             bytes += view.total_bytes;
         }
-        js << "\"messages\": " << jsonNumber(messages)
-           << ", \"failed\": " << jsonNumber(failed)
-           << ", \"bytes\": " << jsonNumber(bytes);
+        json.key("coll_totals").beginObject()
+            .field("messages", messages).field("failed", failed)
+            .field("bytes", bytes).end();
     }
-    js << "}";
     if (crash.present) {
-        js << ",\n  \"crash\": {\"reason\": \""
-           << jsonEscape(crash.reason) << "\", \"signal\": "
-           << static_cast<long>(crash.signal) << ", \"signal_name\": \""
-           << jsonEscape(crash.signal_name) << "\", \"tool\": \""
-           << jsonEscape(crash.tool) << "\", \"identity_hash\": \""
-           << jsonEscape(crash.identity_hash)
-           << "\", \"uptime_s\": " << jsonNumber(crash.uptime_s)
-           << ", \"well_formed\": "
-           << (crash.well_formed ? "true" : "false")
-           << ", \"threads\": [";
-        for (std::size_t i = 0; i < crash.threads.size(); ++i) {
-            const CrashThreadView &t = crash.threads[i];
-            js << (i ? ", " : "") << "{\"label\": \""
-               << jsonEscape(t.label) << "\", \"events_recorded\": "
-               << jsonNumber(t.events_recorded)
-               << ", \"open_phase_depth\": " << t.open_phase_depth
-               << ", \"open_phases\": [";
-            for (std::size_t p = 0; p < t.open_phases.size(); ++p)
-                js << (p ? ", " : "") << "\""
-                   << jsonEscape(t.open_phases[p]) << "\"";
-            js << "], \"events\": " << t.events.size() << "}";
+        json.key("crash").beginObject()
+            .field("reason", crash.reason)
+            .field("signal", crash.signal)
+            .field("signal_name", crash.signal_name).field("tool", crash.tool)
+            .field("identity_hash", crash.identity_hash)
+            .field("uptime_s", crash.uptime_s)
+            .field("well_formed", crash.well_formed)
+            .key("threads").beginArray();
+        for (const CrashThreadView &t : crash.threads) {
+            json.beginObject()
+                .field("label", t.label)
+                .field("events_recorded", t.events_recorded)
+                .field("open_phase_depth", t.open_phase_depth)
+                .key("open_phases").beginArray();
+            for (const std::string &phase : t.open_phases)
+                json.value(phase);
+            json.end().field("events", t.events.size()).end();
         }
-        js << "]}";
+        json.end().end();
     }
-    js << "\n}\n";
+    json.end();
     report.json = js.str();
 
     return report;

@@ -1,13 +1,11 @@
 #include "obs/run_manifest.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/profiler.hpp"
 #include "util/artifact.hpp"
@@ -18,81 +16,38 @@ namespace wss::obs {
 
 namespace {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-/// Hashes render as fixed-width hex strings: 64-bit values do not
-/// survive a round-trip through JSON numbers (doubles).
-std::string
-hexString(std::uint64_t v)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << std::setw(16) << std::setfill('0') << v;
-    return os.str();
-}
-
+/// @p text as a whole unsigned integer in @p base (a hash's "0x"
+/// prefix is optional); fatal() naming @p what and @p field otherwise.
 std::uint64_t
-parseHex(const std::string &text, std::string_view what)
+parseUnsigned(std::string_view text, int base, std::string_view what,
+              const char *field)
 {
-    std::size_t used = 0;
+    const std::string_view digits =
+        base == 16 && text.starts_with("0x") ? text.substr(2) : text;
     std::uint64_t value = 0;
-    try {
-        value = std::stoull(text, &used, 16);
-    } catch (const std::exception &) {
-        fatal(what, ": bad hash string '", text, "'");
-    }
-    if (used != text.size())
-        fatal(what, ": bad hash string '", text, "'");
+    const auto [end, ec] = std::from_chars(
+        digits.data(), digits.data() + digits.size(), value, base);
+    if (digits.empty() || ec != std::errc() ||
+        end != digits.data() + digits.size())
+        fatal(what, ": bad ", field, " '", text, "'");
     return value;
 }
 
 /// The identity section, shared verbatim between identityJson() and
 /// writeJson() so the hash always covers exactly what the file says.
 void
-writeIdentityMembers(std::ostream &os, const std::string &tool,
+writeIdentityMembers(util::JsonWriter &json, const std::string &tool,
                      const std::map<std::string, std::string> &config,
                      std::uint64_t seed, int jobs,
                      std::vector<ManifestArtifact> artifacts,
                      bool with_paths)
 {
-    os << "\"tool\": \"" << jsonEscape(tool) << "\",\n"
-       << "  \"seed\": \"" << seed << "\",\n"
-       << "  \"jobs\": " << jobs << ",\n"
-       << "  \"config\": {";
-    bool first = true;
-    for (const auto &[key, value] : config) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(key)
-           << "\": \"" << jsonEscape(value) << "\"";
-        first = false;
-    }
-    os << (first ? "}" : "\n  }") << ",\n  \"artifacts\": [";
+    json.field("tool", tool)
+        .field("seed", std::to_string(seed)).field("jobs", jobs)
+        .key("config").beginObject(util::JsonWriter::kLinesCompact);
+    for (const auto &[key, value] : config)
+        json.field(key, value);
+    json.end().key("artifacts").beginArray(util::JsonWriter::kLinesCompact);
     // Identity must not depend on the order artifacts were recorded
     // in (parallel writers) nor on where they live on disk.
     std::sort(artifacts.begin(), artifacts.end(),
@@ -103,16 +58,14 @@ writeIdentityMembers(std::ostream &os, const std::string &tool,
                       return a.hash < b.hash;
                   return a.bytes < b.bytes;
               });
-    for (std::size_t i = 0; i < artifacts.size(); ++i) {
-        const ManifestArtifact &a = artifacts[i];
-        os << (i ? ",\n" : "\n") << "    {";
+    for (const ManifestArtifact &a : artifacts) {
+        json.beginObject();
         if (with_paths)
-            os << "\"path\": \"" << jsonEscape(a.path) << "\", ";
-        os << "\"kind\": \"" << jsonEscape(a.kind)
-           << "\", \"bytes\": " << a.bytes << ", \"hash\": \""
-           << hexString(a.hash) << "\"}";
+            json.field("path", a.path);
+        json.field("kind", a.kind).field("bytes", a.bytes)
+            .field("hash", RunManifest::hashText(a.hash)).end();
     }
-    os << (artifacts.empty() ? "]" : "\n  ]");
+    json.end();
 }
 
 } // namespace
@@ -144,7 +97,7 @@ RunManifest::setConfig(const std::string &key, std::int64_t value)
 void
 RunManifest::setConfig(const std::string &key, double value)
 {
-    config_[key] = jsonNumber(value);
+    config_[key] = util::JsonWriter::number(value);
 }
 
 void
@@ -196,11 +149,17 @@ RunManifest::setProfile(const Profiler &profiler)
 std::string
 RunManifest::identityJson() const
 {
+    // The first member shares the '{' line: these bytes are hashed, so
+    // the layout is pinned by every recorded identity_hash (e.g.
+    // bench_results/BENCH_dcn.json.manifest.json's 0xba5372277ed45d3f).
+    constexpr util::JsonLayout kIdentity{.lines = true,
+                                         .first_on_open_line = true};
     std::ostringstream os;
-    os << "{\"wss_run_manifest_identity\": 1,\n  ";
-    writeIdentityMembers(os, tool_, config_, seed_, jobs_, artifacts_,
+    util::JsonWriter json(os);
+    json.beginObject(kIdentity).field("wss_run_manifest_identity", 1);
+    writeIdentityMembers(json, tool_, config_, seed_, jobs_, artifacts_,
                          /*with_paths=*/false);
-    os << "\n}\n";
+    json.end();
     return os.str();
 }
 
@@ -213,18 +172,18 @@ RunManifest::identityHash() const
 void
 RunManifest::writeJson(std::ostream &os) const
 {
-    os << "{\n  \"wss_run_manifest\": 1,\n  ";
-    writeIdentityMembers(os, tool_, config_, seed_, jobs_, artifacts_,
+    util::JsonWriter json(os);
+    json.beginObject(util::JsonWriter::kLines).field("wss_run_manifest", 1);
+    writeIdentityMembers(json, tool_, config_, seed_, jobs_, artifacts_,
                          /*with_paths=*/true);
-    os << ",\n  \"identity_hash\": \"" << hexString(identityHash())
-       << "\",\n  \"timing\": {\n    \"phases\": [";
-    for (std::size_t i = 0; i < phases_.size(); ++i) {
-        const ManifestPhase &p = phases_[i];
-        os << (i ? ",\n" : "\n") << "      {\"path\": \""
-           << jsonEscape(p.path) << "\", \"calls\": " << p.calls
-           << ", \"seconds\": " << jsonNumber(p.seconds) << "}";
-    }
-    os << (phases_.empty() ? "]" : "\n    ]") << "\n  }\n}\n";
+    json.field("identity_hash", hashText(identityHash()))
+        .key("timing").beginObject(util::JsonWriter::kLines)
+        .key("phases").beginArray(util::JsonWriter::kLinesCompact);
+    for (const ManifestPhase &p : phases_)
+        json.beginObject()
+            .field("path", p.path).field("calls", p.calls)
+            .field("seconds", p.seconds).end();
+    json.end().end().end();
 }
 
 void
@@ -249,16 +208,8 @@ RunManifest::loadJsonFile(const std::string &path)
          doc.require("config", what).asObject(what))
         manifest.config_[key] = value.asString(what);
 
-    const std::string seed_text =
-        doc.require("seed", what).asString(what);
-    try {
-        std::size_t used = 0;
-        manifest.seed_ = std::stoull(seed_text, &used, 10);
-        if (used != seed_text.size())
-            throw std::invalid_argument(seed_text);
-    } catch (const std::exception &) {
-        fatal(what, ": bad seed '", seed_text, "'");
-    }
+    manifest.seed_ = parseUnsigned(
+        doc.require("seed", what).asString(what), 10, what, "seed");
     manifest.jobs_ =
         static_cast<int>(doc.require("jobs", what).asNumber(what));
 
@@ -269,8 +220,8 @@ RunManifest::loadJsonFile(const std::string &path)
         artifact.kind = entry.require("kind", what).asString(what);
         artifact.bytes = static_cast<std::uint64_t>(
             entry.require("bytes", what).asNumber(what));
-        artifact.hash =
-            parseHex(entry.require("hash", what).asString(what), what);
+        artifact.hash = parseUnsigned(
+            entry.require("hash", what).asString(what), 16, what, "hash");
         manifest.artifacts_.push_back(std::move(artifact));
     }
 
@@ -290,6 +241,14 @@ RunManifest::loadJsonFile(const std::string &path)
         }
     }
     return manifest;
+}
+
+std::string
+RunManifest::hashText(std::uint64_t hash)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << std::setw(16) << std::setfill('0') << hash;
+    return os.str();
 }
 
 std::uint64_t

@@ -141,6 +141,11 @@ class RunManifest
     /// exposed for tests and for `wss report`'s artifact check).
     static std::uint64_t hashBytes(std::string_view data);
 
+    /// @p hash as the fixed-width "0x%016x" string manifests store:
+    /// 64-bit values do not survive a round-trip through JSON numbers
+    /// (doubles).
+    static std::string hashText(std::uint64_t hash);
+
   private:
     std::string tool_;
     std::map<std::string, std::string> config_;

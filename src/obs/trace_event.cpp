@@ -1,81 +1,36 @@
 #include "obs/trace_event.hpp"
 
 #include <algorithm>
-#include <iomanip>
-#include <limits>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
 #include "util/artifact.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace wss::obs {
 
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control).
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-void
-writeArgs(std::ostream &os, const std::vector<TraceArg> &args)
-{
-    os << "{";
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        os << (i ? ", " : "") << "\"" << jsonEscape(args[i].key)
-           << "\": ";
-        if (args[i].is_number)
-            os << args[i].value;
-        else
-            os << "\"" << jsonEscape(args[i].value) << "\"";
-    }
-    os << "}";
-}
-
-} // namespace
-
 TraceArg
 TraceArg::str(std::string key, std::string value)
 {
-    return {std::move(key), std::move(value), false};
+    return {std::move(key), std::move(value)};
 }
 
 TraceArg
 TraceArg::num(std::string key, double value)
 {
+    if (std::isfinite(value))
+        return {std::move(key), value};
     std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << value;
-    std::string text = os.str();
-    // JSON has no literal for non-finite numbers.
-    if (text == "inf" || text == "-inf" || text == "nan" ||
-        text == "-nan")
-        return {std::move(key), std::move(text), false};
-    return {std::move(key), std::move(text), true};
+    os << value;
+    return {std::move(key), os.str()};
 }
 
 TraceArg
 TraceArg::num(std::string key, std::int64_t value)
 {
-    return {std::move(key), std::to_string(value), true};
+    return {std::move(key), value};
 }
 
 TraceEventSink::TraceEventSink()
@@ -216,29 +171,33 @@ TraceEventSink::write(std::ostream &os) const
                   return a.seq < b.seq;
               });
 
-    os << "{\"traceEvents\": [";
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-        const Event &e = sorted[i];
-        os << (i ? ",\n  " : "\n  ");
-        os << "{\"name\": \"" << jsonEscape(e.name) << "\", \"ph\": \""
-           << e.phase << "\", \"pid\": 1, \"tid\": " << e.tid;
+    util::JsonWriter json(os);
+    json.beginObject().key("traceEvents").beginArray(util::JsonWriter::kLines);
+    for (const Event &e : sorted) {
+        json.beginObject()
+            .field("name", e.name).field("ph", std::string_view(&e.phase, 1))
+            .field("pid", 1).field("tid", e.tid);
         if (e.phase != 'M') {
-            os << ", \"ts\": " << e.ts;
+            json.field("ts", e.ts);
             if (!e.category.empty())
-                os << ", \"cat\": \"" << jsonEscape(e.category)
-                   << "\"";
+                json.field("cat", e.category);
             if (e.phase == 'X')
-                os << ", \"dur\": " << e.dur;
+                json.field("dur", e.dur);
             if (e.phase == 'i')
-                os << ", \"s\": \"t\"";
+                json.field("s", "t");
         }
         if (!e.args.empty()) {
-            os << ", \"args\": ";
-            writeArgs(os, e.args);
+            json.key("args").beginObject();
+            for (const TraceArg &arg : e.args) {
+                json.key(arg.key);
+                std::visit([&json](const auto &v) { json.value(v); },
+                           arg.value);
+            }
+            json.end();
         }
-        os << "}";
+        json.end();
     }
-    os << "\n], \"displayTimeUnit\": \"ms\"}\n";
+    json.end().field("displayTimeUnit", "ms").end();
 }
 
 void

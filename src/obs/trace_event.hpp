@@ -23,17 +23,19 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace wss::obs {
 
 /// One "args" entry of a trace event. Numeric values are emitted as
-/// JSON numbers, everything else as escaped JSON strings.
+/// JSON numbers, everything else as escaped JSON strings (a
+/// non-finite double becomes its text, e.g. "inf": JSON has no
+/// literal for it).
 struct TraceArg
 {
     std::string key;
-    std::string value;
-    bool is_number = false;
+    std::variant<std::string, double, std::int64_t> value;
 
     static TraceArg str(std::string key, std::string value);
     static TraceArg num(std::string key, double value);

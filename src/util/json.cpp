@@ -1,8 +1,13 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <ostream>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -11,25 +16,17 @@ namespace wss::util {
 
 namespace {
 
-std::string
+const char *
 kindName(JsonValue::Kind kind)
 {
-    switch (kind) {
-    case JsonValue::Kind::Null: return "null";
-    case JsonValue::Kind::Bool: return "bool";
-    case JsonValue::Kind::Number: return "number";
-    case JsonValue::Kind::String: return "string";
-    case JsonValue::Kind::Object: return "object";
-    case JsonValue::Kind::Array: return "array";
-    }
-    return "?";
+    static const char *const kNames[] = {"null",   "bool",   "number",
+                                         "string", "object", "array"};
+    return kNames[static_cast<int>(kind)];
 }
 
 } // namespace
 
-/// Recursive-descent parser over the whole document (same shape as
-/// the streaming reader in flow/switch_profile.cpp, but building a
-/// JsonValue tree instead of dispatching on known keys).
+/// Recursive-descent parser over the whole document.
 class JsonParser
 {
   public:
@@ -128,10 +125,11 @@ class JsonParser
             case 'u': {
                 if (pos_ + 4 > text_.size())
                     fail("truncated \\u escape");
-                const std::string hex(text_.substr(pos_, 4));
-                char *end = nullptr;
-                const long code = std::strtol(hex.c_str(), &end, 16);
-                if (end != hex.c_str() + 4)
+                const std::string_view hex = text_.substr(pos_, 4);
+                unsigned code = 0;
+                const auto [end, ec] = std::from_chars(
+                    hex.data(), hex.data() + hex.size(), code, 16);
+                if (ec != std::errc() || end != hex.data() + hex.size())
                     fail("bad \\u escape");
                 if (code < 0x80) {
                     out += static_cast<char>(code);
@@ -181,45 +179,72 @@ class JsonParser
             if (digits() == 0)
                 fail("bad number exponent");
         }
-        const std::string token(text_.substr(start, pos_ - start));
-        return std::strtod(token.c_str(), nullptr);
+        double v = 0.0;
+        const auto [end, ec] = std::from_chars(text_.data() + start,
+                                               text_.data() + pos_, v);
+        if (ec == std::errc::result_out_of_range)
+            fail("number '" +
+                 std::string(text_.substr(start, pos_ - start)) +
+                 "' is out of range for a double");
+        if (ec != std::errc() || end != text_.data() + pos_)
+            fail("bad number");
+        return v;
+    }
+
+    /// fatal() when two members of one object share a key: readers
+    /// look members up by name, so a duplicate would silently pick
+    /// one of the two values.
+    void
+    checkUniqueKeys(const JsonValue &object)
+    {
+        keys_.clear();
+        for (const auto &member : object.object_)
+            keys_.push_back(member.first);
+        std::sort(keys_.begin(), keys_.end());
+        const auto dup = std::adjacent_find(keys_.begin(), keys_.end());
+        if (dup != keys_.end())
+            fail("duplicate key \"" + std::string(*dup) + "\"");
     }
 
     JsonValue
     value()
     {
         JsonValue v;
-        switch (peek()) {
+        const char c = peek();
+        if ((c == '{' || c == '[') && ++depth_ > JsonValue::kMaxDepth)
+            fail("nesting deeper than " +
+                 std::to_string(JsonValue::kMaxDepth));
+        switch (c) {
         case '{': {
             ++pos_;
             v.kind_ = JsonValue::Kind::Object;
             skipSpace();
-            if (consume('}'))
-                return v;
-            while (true) {
-                skipSpace();
-                std::string key = parseString();
-                expect(':');
-                v.object_.emplace_back(std::move(key), value());
-                if (consume(','))
-                    continue;
+            if (!consume('}')) {
+                do {
+                    skipSpace();
+                    std::string key = parseString();
+                    expect(':');
+                    v.object_.emplace_back(std::move(key), value());
+                } while (consume(','));
                 expect('}');
-                return v;
+                if (v.object_.size() > 1)
+                    checkUniqueKeys(v);
             }
+            --depth_;
+            return v;
         }
         case '[': {
             ++pos_;
             v.kind_ = JsonValue::Kind::Array;
             skipSpace();
-            if (consume(']'))
-                return v;
-            while (true) {
-                v.array_.push_back(value());
-                if (consume(','))
-                    continue;
+            if (!consume(']')) {
+                do {
+                    v.array_.push_back(value());
+                } while (consume(','));
                 expect(']');
-                return v;
             }
+            --depth_;
+            return v;
         }
         case '"':
             v.kind_ = JsonValue::Kind::String;
@@ -249,6 +274,9 @@ class JsonParser
     std::string_view text_;
     std::string_view what_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
+    /// checkUniqueKeys() scratch, reused across objects.
+    std::vector<std::string_view> keys_;
 };
 
 const JsonValue *
@@ -271,44 +299,42 @@ JsonValue::require(std::string_view key, std::string_view what) const
     return *v;
 }
 
+const JsonValue &
+JsonValue::expect(Kind kind, std::string_view what) const
+{
+    if (kind_ != kind)
+        fatal(what, ": expected ", kindName(kind), ", got ", kindName(kind_));
+    return *this;
+}
+
 bool
 JsonValue::asBool(std::string_view what) const
 {
-    if (kind_ != Kind::Bool)
-        fatal(what, ": expected bool, got ", kindName(kind_));
-    return bool_;
+    return expect(Kind::Bool, what).bool_;
 }
 
 double
 JsonValue::asNumber(std::string_view what) const
 {
-    if (kind_ != Kind::Number)
-        fatal(what, ": expected number, got ", kindName(kind_));
-    return number_;
+    return expect(Kind::Number, what).number_;
 }
 
 const std::string &
 JsonValue::asString(std::string_view what) const
 {
-    if (kind_ != Kind::String)
-        fatal(what, ": expected string, got ", kindName(kind_));
-    return string_;
+    return expect(Kind::String, what).string_;
 }
 
 const std::vector<JsonValue> &
 JsonValue::asArray(std::string_view what) const
 {
-    if (kind_ != Kind::Array)
-        fatal(what, ": expected array, got ", kindName(kind_));
-    return array_;
+    return expect(Kind::Array, what).array_;
 }
 
 const std::vector<std::pair<std::string, JsonValue>> &
 JsonValue::asObject(std::string_view what) const
 {
-    if (kind_ != Kind::Object)
-        fatal(what, ": expected object, got ", kindName(kind_));
-    return object_;
+    return expect(Kind::Object, what).object_;
 }
 
 double
@@ -340,6 +366,152 @@ JsonValue::parseFile(const std::string &path, std::string_view what)
     std::ostringstream buffer;
     buffer << is.rdbuf();
     return parse(buffer.str(), what);
+}
+
+// ---------------------------------------------------------------------
+// JsonWriter
+// ---------------------------------------------------------------------
+
+std::string
+JsonWriter::number(double v)
+{
+    // Default float format at max_digits10: what %.17g prints.
+    char buf[32];
+    const auto res =
+        std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                      std::numeric_limits<double>::max_digits10);
+    return std::string(buf, res.ptr);
+}
+
+int
+JsonWriter::memberColumn(const Frame &frame)
+{
+    if (!frame.layout.lines)
+        return frame.open_col;
+    return frame.layout.indent >= 0 ? frame.layout.indent
+                                    : frame.open_col + 2;
+}
+
+void
+JsonWriter::prepareValue()
+{
+    if (after_key_) {
+        after_key_ = false;
+        return;
+    }
+    if (stack_.empty())
+        return;
+    Frame &top = stack_.back();
+    if (top.close == '}')
+        panic("JsonWriter: object member without a key");
+    separate(top);
+}
+
+/// Emit what precedes the next member of @p top: nothing, ", ", or a
+/// line break to the member column.
+void
+JsonWriter::separate(Frame &top)
+{
+    const bool first = top.members++ == 0;
+    if (!top.layout.lines) {
+        if (!first)
+            os_ << ", ";
+    } else if (!first || !top.layout.first_on_open_line) {
+        os_ << (first ? "\n" : ",\n") << std::setw(memberColumn(top))
+            << "";
+    }
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view name)
+{
+    if (stack_.empty() || stack_.back().close != '}' || after_key_)
+        panic("JsonWriter: key \"", name, "\" outside an object");
+    separate(stack_.back());
+    os_ << '"';
+    escape(name);
+    os_ << "\": ";
+    key_ = name;
+    after_key_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::begin(char open, char close, const JsonLayout &layout)
+{
+    // Errors inside the container name the key it was opened under.
+    std::string name = after_key_        ? key_
+                       : stack_.empty() ? std::string()
+                                        : stack_.back().name;
+    prepareValue();
+    const int open_col = stack_.empty() ? 0 : memberColumn(stack_.back());
+    stack_.push_back({close, layout, open_col, 0, std::move(name)});
+    os_ << open;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::end()
+{
+    if (stack_.empty() || after_key_)
+        panic("JsonWriter: end() without an open container");
+    const Frame &top = stack_.back();
+    if (top.layout.lines && (top.members > 0 || !top.layout.compact_empty))
+        os_ << '\n'
+            << std::setw(top.layout.close >= 0 ? top.layout.close
+                                               : top.open_col)
+            << "";
+    os_ << top.close;
+    stack_.pop_back();
+    if (stack_.empty())
+        os_ << '\n';
+    return *this;
+}
+
+void
+JsonWriter::escape(std::string_view s)
+{
+    for (char c : s) {
+        switch (c) {
+        case '"': os_ << "\\\""; break;
+        case '\\': os_ << "\\\\"; break;
+        case '\n': os_ << "\\n"; break;
+        case '\t': os_ << "\\t"; break;
+        default: os_ << (static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
+        }
+    }
+}
+
+JsonWriter &
+JsonWriter::value(std::string_view s)
+{
+    prepareValue();
+    os_ << '"';
+    escape(s);
+    os_ << '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(bool b)
+{
+    prepareValue();
+    os_ << (b ? "true" : "false");
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(double v)
+{
+    if (!std::isfinite(v))
+        fatal("JSON writer: \"",
+              after_key_       ? key_
+              : stack_.empty() ? std::string()
+                               : stack_.back().name,
+              "\" is ", v, ", which JSON cannot represent");
+    prepareValue();
+    os_ << number(v);
+    return *this;
 }
 
 } // namespace wss::util

@@ -11,7 +11,7 @@
  * running with a different seed or rank count than the user asked
  * for would poison every artifact downstream. Durations and other
  * numbers follow the same rule: a whole-string finite decimal (above
- * zero for durations), nothing else.
+ * zero for durations) or integer, nothing else.
  */
 
 #ifndef WSS_UTIL_PARSE_HPP
@@ -48,6 +48,26 @@ parsePositiveInt(const std::string &value, const char *what,
         *end != '\0' || n <= 0 || n > max)
         fatal(what, "='", value, "' is not a positive integer (1..",
               max, ")");
+    return static_cast<std::int64_t>(n);
+}
+
+/**
+ * Parse @p value as a whole decimal integer ("12", "-3"). fatal() —
+ * naming @p what and echoing the offending text — on anything else:
+ * empty, non-numeric, trailing junk ("2x", "1e5", "1.5"), a '+' sign,
+ * whitespace, or outside the range of a 64-bit integer.
+ */
+inline std::int64_t
+parseInteger(const std::string &value, const char *what)
+{
+    const char *text = value.c_str();
+    const char *digits = text[0] == '-' ? text + 1 : text;
+    char *end = nullptr;
+    errno = 0;
+    const long long n = std::strtoll(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(digits[0])) ||
+        errno != 0 || *end != '\0')
+        fatal(what, "='", value, "' is not an integer");
     return static_cast<std::int64_t>(n);
 }
 

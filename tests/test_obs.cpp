@@ -3,7 +3,7 @@
  * Tests for the observability layer: metrics registry semantics
  * (handle aliasing, histogram bucket edges, snapshot deltas,
  * cross-thread merge), Chrome-trace JSON well-formedness (parsed back
- * by a minimal in-test JSON reader), trace-content determinism across
+ * by util::JsonValue), trace-content determinism across
  * thread counts, flush-checked artifact writing, and the contract
  * that observability never perturbs simulation results. Phase 2
  * additions: the hierarchical Profiler (nesting, merge re-rooting,
@@ -214,7 +214,8 @@ TEST(Metrics, MergeAggregatesAcrossThreads)
 }
 
 // ---------------------------------------------------------------------
-// A minimal JSON reader, just enough to parse traces back in-test.
+// Traces and reports parsed back through util::JsonValue into a plain
+// tree the assertions below can walk.
 // ---------------------------------------------------------------------
 
 struct Json
@@ -245,195 +246,51 @@ struct Json
     }
 };
 
-class JsonParser
+Json
+toJson(const util::JsonValue &v)
 {
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    Json
-    parse()
-    {
-        Json value = parseValue();
-        skipSpace();
-        if (pos_ != text_.size())
-            fail("trailing garbage");
-        return value;
+    using Kind = util::JsonValue::Kind;
+    Json out;
+    switch (v.kind()) {
+    case Kind::Null: break;
+    case Kind::Bool:
+        out.kind = Json::Boolean;
+        out.boolean = v.asBool("test");
+        break;
+    case Kind::Number:
+        out.kind = Json::Number;
+        out.number = v.asNumber("test");
+        break;
+    case Kind::String:
+        out.kind = Json::String;
+        out.string = v.asString("test");
+        break;
+    case Kind::Array:
+        out.kind = Json::Array;
+        for (const util::JsonValue &e : v.asArray("test"))
+            out.array.push_back(toJson(e));
+        break;
+    case Kind::Object:
+        out.kind = Json::Object;
+        for (const auto &[key, e] : v.asObject("test"))
+            out.object.emplace_back(key, toJson(e));
+        break;
     }
+    return out;
+}
 
-  private:
-    [[noreturn]] void
-    fail(const std::string &why) const
-    {
-        throw std::runtime_error("JSON error at byte " +
-                                 std::to_string(pos_) + ": " + why);
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "', got '" + peek() +
-                 "'");
-        ++pos_;
-    }
-
-    Json
-    parseValue()
-    {
-        skipSpace();
-        switch (peek()) {
-        case '{': return parseObject();
-        case '[': return parseArray();
-        case '"': {
-            Json v;
-            v.kind = Json::String;
-            v.string = parseString();
-            return v;
-        }
-        case 't':
-        case 'f': return parseBool();
-        case 'n': parseLiteral("null"); return Json{};
-        default: return parseNumber();
-        }
-    }
-
-    void
-    parseLiteral(const char *lit)
-    {
-        for (const char *p = lit; *p; ++p)
-            expect(*p);
-    }
-
-    Json
-    parseBool()
-    {
-        Json v;
-        v.kind = Json::Boolean;
-        if (peek() == 't') {
-            parseLiteral("true");
-            v.boolean = true;
-        } else {
-            parseLiteral("false");
-        }
-        return v;
-    }
-
-    Json
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected a number");
-        Json v;
-        v.kind = Json::Number;
-        v.number = std::stod(text_.substr(start, pos_ - start));
-        return v;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (peek() != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                switch (peek()) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                default: fail("unsupported escape");
-                }
-                ++pos_;
-            } else {
-                out += c;
-            }
-        }
-        ++pos_; // closing quote
-        return out;
-    }
-
-    Json
-    parseArray()
-    {
-        expect('[');
-        Json v;
-        v.kind = Json::Array;
-        skipSpace();
-        if (peek() == ']') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            v.array.push_back(parseValue());
-            skipSpace();
-            if (peek() == ']') {
-                ++pos_;
-                return v;
-            }
-            expect(',');
-        }
-    }
-
-    Json
-    parseObject()
-    {
-        expect('{');
-        Json v;
-        v.kind = Json::Object;
-        skipSpace();
-        if (peek() == '}') {
-            ++pos_;
-            return v;
-        }
-        while (true) {
-            skipSpace();
-            std::string key = parseString();
-            skipSpace();
-            expect(':');
-            v.object.emplace_back(std::move(key), parseValue());
-            skipSpace();
-            if (peek() == '}') {
-                ++pos_;
-                return v;
-            }
-            expect(',');
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+Json
+parseJson(const std::string &text)
+{
+    return toJson(util::JsonValue::parse(text, "test JSON"));
+}
 
 Json
 parseTrace(const TraceEventSink &sink)
 {
     std::ostringstream os;
     sink.write(os);
-    return JsonParser(os.str()).parse();
+    return parseJson(os.str());
 }
 
 // ---------------------------------------------------------------------
@@ -1186,7 +1043,7 @@ TEST(RunManifest, WriteJsonIsParseable)
 
     std::ostringstream os;
     manifest.writeJson(os);
-    const Json root = JsonParser(os.str()).parse();
+    const Json root = parseJson(os.str());
     ASSERT_NE(root.find("tool"), nullptr);
     EXPECT_EQ(root.find("tool")->string, "wss test");
     ASSERT_NE(root.find("artifacts"), nullptr);
@@ -1263,7 +1120,7 @@ TEST(Report, SmokeFromFreshManifest)
     EXPECT_NE(report.markdown.find("campaign-csv"), std::string::npos);
 
     // The JSON side parses and carries the marker and the checks.
-    const Json root = JsonParser(report.json).parse();
+    const Json root = parseJson(report.json);
     ASSERT_NE(root.find("wss_run_report"), nullptr);
     ASSERT_NE(root.find("checks"), nullptr);
     EXPECT_EQ(root.find("checks")->array.size(),
@@ -1301,6 +1158,69 @@ TEST(Report, CorruptArtifactFailsTheHashCheckWithoutDying)
     EXPECT_FALSE(report.checks[0].ok);
     EXPECT_NE(report.checks[0].detail.find("content differs"),
               std::string::npos);
+
+    std::remove(manifest_path.c_str());
+    std::remove(artifact.c_str());
+}
+
+TEST(Report, TruncatedArtifactFailsTheHashCheck)
+{
+    const std::string artifact =
+        writeTempFile("wss_report_truncated.csv", "a,b\n1,2\n3,4\n");
+    RunManifest manifest("wss test");
+    manifest.addArtifact(artifact, "campaign-csv");
+    const std::string manifest_path =
+        (std::filesystem::temp_directory_path() /
+         "wss_report_truncated.manifest.json")
+            .string();
+    manifest.writeJsonFile(manifest_path);
+
+    // A run killed mid-write leaves a prefix of the artifact.
+    writeTempFile("wss_report_truncated.csv", "a,b\n1,2\n");
+
+    ReportOptions opts;
+    opts.manifest_path = manifest_path;
+    const RunReport report = buildRunReport(opts);
+    EXPECT_FALSE(report.ok());
+    ASSERT_FALSE(report.checks.empty());
+    EXPECT_EQ(report.checks[0].name, "artifact-hashes");
+    EXPECT_FALSE(report.checks[0].ok);
+    EXPECT_NE(report.checks[0].detail.find("0/1 artifacts verified"),
+              std::string::npos);
+
+    std::remove(manifest_path.c_str());
+    std::remove(artifact.c_str());
+}
+
+TEST(Report, NonFiniteTelemetryCellsAreSkipped)
+{
+    const std::string artifact = writeTempFile(
+        "wss_report_nan.csv", "record,window,scope,metric,value\n"
+                              "window,0,-,started,1\n"
+                              "window,0,-,completed,1\n"
+                              "link,0,t0,utilization,inf\n"
+                              "total,run,-,started,nan\n"
+                              "total,run,-,started,1\n"
+                              "total,run,-,completed,1\n"
+                              "total,run,-,completed_bytes,-inf\n");
+    RunManifest manifest("wss test");
+    manifest.addArtifact(artifact, "flow-telemetry");
+    const std::string manifest_path =
+        (std::filesystem::temp_directory_path() /
+         "wss_report_nan.manifest.json")
+            .string();
+    manifest.writeJsonFile(manifest_path);
+
+    ReportOptions opts;
+    opts.manifest_path = manifest_path;
+    const RunReport report = buildRunReport(opts);
+    // The JSON twin stays valid JSON (the reader fatal()s on "nan").
+    const util::JsonValue doc = util::JsonValue::parse(report.json, "twin");
+    const util::JsonValue &totals = doc.require("flow_totals", "twin");
+    EXPECT_EQ(totals.numberOr("started", -1), 1.0);
+    EXPECT_EQ(totals.numberOr("completed_bytes", -1), 0.0);
+    EXPECT_TRUE(doc.require("links", "twin").asArray("links").empty());
+    EXPECT_TRUE(report.ok());
 
     std::remove(manifest_path.c_str());
     std::remove(artifact.c_str());

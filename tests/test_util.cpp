@@ -419,5 +419,29 @@ TEST(ParseFiniteNumber, RejectsEverythingElseLoudly)
     EXPECT_DEATH(util::parseFiniteNumber("1e-400", "--x"), "--x");
 }
 
+TEST(ParseInteger, AcceptsWholeStringIntegers)
+{
+    EXPECT_EQ(util::parseInteger("12", "--x"), 12);
+    EXPECT_EQ(util::parseInteger("0", "--x"), 0);
+    EXPECT_EQ(util::parseInteger("-3", "--x"), -3);
+    EXPECT_EQ(util::parseInteger("9223372036854775807", "--x"), INT64_MAX);
+}
+
+TEST(ParseInteger, RejectsEverythingElseLoudly)
+{
+    // std::stoll took "2x" as 2 and "1e5" as 1, and threw an uncaught
+    // exception past int64: each is fatal here.
+    EXPECT_DEATH(util::parseInteger("2x", "--points"),
+                 "--points='2x' is not an integer");
+    EXPECT_DEATH(util::parseInteger("1e5", "--x"), "--x='1e5'");
+    EXPECT_DEATH(util::parseInteger("1.5", "--x"), "--x='1.5'");
+    EXPECT_DEATH(util::parseInteger("99999999999999999999", "--x"),
+                 "--x='99999999999999999999'");
+    EXPECT_DEATH(util::parseInteger("", "--x"), "--x=''");
+    EXPECT_DEATH(util::parseInteger("-", "--x"), "--x='-'");
+    EXPECT_DEATH(util::parseInteger("+1", "--x"), "--x='\\+1'");
+    EXPECT_DEATH(util::parseInteger(" 1", "--x"), "--x=' 1'");
+}
+
 } // namespace
 } // namespace wss

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 #
 # Full pre-merge verification:
-#   1. tier-1 build + ctest (the ROADMAP gate),
+#   1. tier-1 build + ctest (the ROADMAP gate; it includes the
+#      `golden` label, which reruns every deterministic figure/table
+#      bench and compares its stdout with bench_results/),
 #   2. a ThreadSanitizer build of the parallel execution engine, the
 #      fault/resilience campaigns, and the observability layer that
 #      rides on both (test_exec + test_sim + test_fault + test_obs via
@@ -16,7 +18,9 @@
 #      under ASan (the reporter parses untrusted CSV/JSON, so its
 #      string handling runs heap-checked); the mapping suite runs
 #      there too, because Algorithm 1's undo journal indexes the edge
-#      loads by logged edge ids,
+#      loads by logged edge ids, and so does the JSON reader's
+#      mutation corpus (truncated, mutated and hostile documents must
+#      parse or fatal(), never touch memory they should not),
 #   4. a release-preset bench_simcore --smoke, proving the optimized
 #      build still runs every bench point to a stable result (the
 #      perf numbers themselves are tracked in bench_results/), and a
@@ -86,11 +90,11 @@ echo "== tsan: race-checked test run =="
 # Death tests (fork under TSAN) are excluded by the preset filter.
 ctest --preset tsan
 
-echo "== asan: configure + build (test_sim_determinism, test_flow, test_coll, test_obs, test_mapping, wss) =="
+echo "== asan: configure + build (test_sim_determinism, test_flow, test_coll, test_obs, test_mapping, test_json, wss) =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 
-echo "== asan: heap-checked determinism and mapping suites =="
+echo "== asan: heap-checked determinism, mapping and JSON suites =="
 # The ZeroAllocation test is excluded by the preset filter: ASan
 # interposes the allocator, which defeats the counting hook.
 ctest --preset asan

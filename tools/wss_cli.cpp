@@ -96,18 +96,27 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
+    /// Flag @p key as a whole-string finite decimal; fatal() naming
+    /// the flag on anything else ("0.3abc", "nan", "1e999").
     double
     num(const std::string &key, double fallback) const
     {
         const auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stod(it->second);
+        return it == values_.end()
+                   ? fallback
+                   : util::parseFiniteNumber(it->second,
+                                             ("--" + key).c_str());
     }
 
+    /// Flag @p key as a whole-string integer; fatal() naming the flag
+    /// on anything else ("2x", "1e5", 20 digits).
     long long
     integer(const std::string &key, long long fallback) const
     {
         const auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stoll(it->second);
+        return it == values_.end()
+                   ? fallback
+                   : util::parseInteger(it->second, ("--" + key).c_str());
     }
 
     /// Every flag as given, for provenance manifests.
