@@ -120,14 +120,9 @@ CollCampaign::runCell(std::size_t di, std::size_t ci,
     const Schedule schedule =
         buildSchedule(cfg.collectives[ci], cfg.ranks);
 
-    flow::DcnTopology topo =
-        cfg.kind == flow::DcnKind::FatTree
-            ? flow::DcnTopology::buildFatTree(
-                  cfg.ranks, static_cast<int>(profile.radix),
-                  profile.line_rate_gbps)
-            : flow::DcnTopology::buildDragonfly(
-                  cfg.ranks, static_cast<int>(profile.radix),
-                  profile.line_rate_gbps);
+    flow::DcnTopology topo = flow::DcnTopology::build(
+        cfg.kind, cfg.ranks, static_cast<int>(profile.radix),
+        profile.line_rate_gbps);
 
     CollCellResult cell;
     cell.design = profile.name;

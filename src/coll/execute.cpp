@@ -1,7 +1,6 @@
 #include "coll/execute.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <vector>
@@ -17,15 +16,6 @@
 namespace wss::coll {
 
 namespace {
-
-/// Shortest round-trip decimal form (SimObservation::dumpCsv idiom).
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
 
 /// Shared result assembly: bandwidth figures from (schedule,
 /// payload, completion time).
@@ -112,13 +102,13 @@ CollTelemetry::dumpCsv(std::ostream &os) const
 
     for (const Step &s : steps) {
         os << "step," << s.step << ",-,start_s,"
-           << formatDouble(s.start_s) << "\n";
+           << util::formatDouble(s.start_s) << "\n";
         os << "step," << s.step << ",-,seconds,"
-           << formatDouble(s.seconds) << "\n";
+           << util::formatDouble(s.seconds) << "\n";
         os << "step," << s.step << ",-,messages," << s.messages
            << "\n";
         os << "step," << s.step << ",-,failed," << s.failed << "\n";
-        os << "step," << s.step << ",-,bytes," << formatDouble(s.bytes)
+        os << "step," << s.step << ",-,bytes," << util::formatDouble(s.bytes)
            << "\n";
     }
 
@@ -126,14 +116,14 @@ CollTelemetry::dumpCsv(std::ostream &os) const
         for (std::size_t r = 0; r < s.rank_busy_s.size(); ++r)
             if (s.rank_busy_s[r] > 0.0 || s.rank_bytes[r] > 0.0) {
                 os << "rank," << s.step << ",r" << r << ",busy_s,"
-                   << formatDouble(s.rank_busy_s[r]) << "\n";
+                   << util::formatDouble(s.rank_busy_s[r]) << "\n";
                 os << "rank," << s.step << ",r" << r << ",bytes,"
-                   << formatDouble(s.rank_bytes[r]) << "\n";
+                   << util::formatDouble(s.rank_bytes[r]) << "\n";
             }
 
     os << "total,run,-,messages," << totalMessages() << "\n";
     os << "total,run,-,failed," << totalFailed() << "\n";
-    os << "total,run,-,bytes," << formatDouble(totalBytes()) << "\n";
+    os << "total,run,-,bytes," << util::formatDouble(totalBytes()) << "\n";
 }
 
 void

@@ -90,13 +90,9 @@ DcnCampaign::runCell(std::size_t di, std::size_t wi, std::size_t li,
     const SwitchProfile &profile = cfg.designs[di];
 
     DcnTopology topo =
-        cfg.kind == DcnKind::FatTree
-            ? DcnTopology::buildFatTree(
-                  cfg.hosts, static_cast<int>(profile.radix),
-                  profile.line_rate_gbps)
-            : DcnTopology::buildDragonfly(
-                  cfg.hosts, static_cast<int>(profile.radix),
-                  profile.line_rate_gbps);
+        DcnTopology::build(cfg.kind, cfg.hosts,
+                           static_cast<int>(profile.radix),
+                           profile.line_rate_gbps);
 
     DcnWorkloadSpec workload = cfg.workloads[wi];
     workload.load = cfg.loads[li];

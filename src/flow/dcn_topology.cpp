@@ -29,16 +29,6 @@ ceilDiv(std::int64_t a, std::int64_t b)
 
 } // namespace
 
-std::string_view
-toString(DcnKind kind)
-{
-    switch (kind) {
-    case DcnKind::FatTree: return "fat-tree";
-    case DcnKind::Dragonfly: return "dragonfly";
-    }
-    return "?";
-}
-
 int
 DcnTopology::addSwitch(int hosts_attached)
 {
@@ -72,6 +62,15 @@ DcnTopology::finalize()
         }
     }
     rebuildRoutes();
+}
+
+DcnTopology
+DcnTopology::build(DcnKind kind, std::int64_t hosts, int radix,
+                   double line_rate_gbps)
+{
+    return kind == DcnKind::FatTree
+               ? buildFatTree(hosts, radix, line_rate_gbps)
+               : buildDragonfly(hosts, radix, line_rate_gbps);
 }
 
 DcnTopology

@@ -37,8 +37,6 @@ enum class DcnKind
     Dragonfly,
 };
 
-std::string_view toString(DcnKind kind);
-
 /// One trunk bundle between two switches.
 struct DcnLink
 {
@@ -68,6 +66,10 @@ struct DcnPath
 class DcnTopology
 {
   public:
+    /// buildFatTree() or buildDragonfly(), as @p kind says.
+    static DcnTopology build(DcnKind kind, std::int64_t hosts, int radix,
+                             double line_rate_gbps);
+
     /**
      * Smallest fat-tree of radix-@p radix switches covering
      * @p hosts hosts at @p line_rate_gbps per host: one switch when

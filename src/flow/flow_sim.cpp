@@ -1,7 +1,6 @@
 #include "flow/flow_sim.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <ostream>
@@ -19,16 +18,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Shortest round-trip decimal form (same idiom as
-/// SimObservation::dumpCsv), so telemetry CSVs are bit-identical
-/// across runs and lossless to parse back.
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
 /// Residual bytes below which a transfer counts as delivered —
 /// far under one byte yet far above the fp error of advancing a
 /// multi-megabyte flow to its own completion instant.
@@ -114,13 +103,13 @@ FlowTelemetry::dumpCsv(std::ostream &os) const
 {
     os << "# wss flow telemetry\n";
     os << "# windows=" << windows.size() << " window_s="
-       << formatDouble(window_s) << " links="
+       << util::formatDouble(window_s) << " links="
        << link_capacity_bps.size() << "\n";
     os << "record,window,scope,metric,value\n";
 
     for (std::size_t l = 0; l < link_capacity_bps.size(); ++l)
         os << "capacity,run,t" << l << ",bytes_per_s,"
-           << formatDouble(link_capacity_bps[l]) << "\n";
+           << util::formatDouble(link_capacity_bps[l]) << "\n";
 
     for (std::size_t w = 0; w < windows.size(); ++w) {
         const Window &win = windows[w];
@@ -131,7 +120,7 @@ FlowTelemetry::dumpCsv(std::ostream &os) const
         os << "window," << w << ",-,in_flight_end,"
            << win.in_flight_end << "\n";
         os << "window," << w << ",-,completed_bytes,"
-           << formatDouble(win.completed_bytes) << "\n";
+           << util::formatDouble(win.completed_bytes) << "\n";
     }
 
     // Only trunks that carried bytes: quiet links would dominate the
@@ -140,9 +129,9 @@ FlowTelemetry::dumpCsv(std::ostream &os) const
         for (std::size_t l = 0; l < windows[w].link_bytes.size(); ++l)
             if (windows[w].link_bytes[l] > 0.0) {
                 os << "link," << w << ",t" << l << ",bytes,"
-                   << formatDouble(windows[w].link_bytes[l]) << "\n";
+                   << util::formatDouble(windows[w].link_bytes[l]) << "\n";
                 os << "link," << w << ",t" << l << ",utilization,"
-                   << formatDouble(linkUtilization(w, l)) << "\n";
+                   << util::formatDouble(linkUtilization(w, l)) << "\n";
             }
 
     double total_bytes = 0.0;
@@ -151,7 +140,7 @@ FlowTelemetry::dumpCsv(std::ostream &os) const
     os << "total,run,-,started," << totalStarted() << "\n";
     os << "total,run,-,completed," << totalCompleted() << "\n";
     os << "total,run,-,failed," << totalFailed() << "\n";
-    os << "total,run,-,completed_bytes," << formatDouble(total_bytes)
+    os << "total,run,-,completed_bytes," << util::formatDouble(total_bytes)
        << "\n";
 }
 

@@ -186,13 +186,13 @@ struct CrashThreadView
 {
     std::string label;
     double events_recorded = 0;
-    long open_phase_depth = 0;
+    std::int64_t open_phase_depth = 0;
     std::vector<std::string> open_phases;
     struct Event
     {
         double t_s = 0;
         std::string kind;
-        double a = 0, b = 0;
+        std::int64_t a = 0, b = 0;
         std::string tag;
     };
     std::vector<Event> events;
@@ -205,8 +205,9 @@ struct CrashView
     bool well_formed = false;
     std::string problem;
     std::string reason, signal_name, tool, identity_hash;
-    double signal = 0, uptime_s = 0;
-    std::vector<std::pair<std::string, double>> counters;
+    std::int64_t signal = 0;
+    double uptime_s = 0;
+    std::vector<std::pair<std::string, std::int64_t>> counters;
     std::vector<CrashThreadView> threads;
 };
 
@@ -226,7 +227,7 @@ parseCrashReport(const std::string &path)
         return view;
     }
     view.reason = doc.stringOr("reason", "");
-    view.signal = doc.numberOr("signal", 0);
+    view.signal = doc.integerOr("signal", 0);
     view.signal_name = doc.stringOr("signal_name", "");
     view.tool = doc.stringOr("tool", "");
     view.identity_hash = doc.stringOr("identity_hash", "");
@@ -235,7 +236,7 @@ parseCrashReport(const std::string &path)
         for (const auto &[name, value] :
              counters->asObject("crash counters"))
             view.counters.emplace_back(
-                name, value.asNumber("crash counter " + name));
+                name, value.asInteger("crash counter " + name));
     const util::JsonValue *threads = doc.find("threads");
     if (threads == nullptr) {
         view.problem = "missing threads array";
@@ -245,8 +246,7 @@ parseCrashReport(const std::string &path)
         CrashThreadView tv;
         tv.label = t.stringOr("label", "?");
         tv.events_recorded = t.numberOr("events_recorded", 0);
-        tv.open_phase_depth = static_cast<long>(
-            t.numberOr("open_phase_depth", 0));
+        tv.open_phase_depth = t.integerOr("open_phase_depth", 0);
         if (const util::JsonValue *phases = t.find("open_phases"))
             for (const util::JsonValue &p :
                  phases->asArray("crash open_phases"))
@@ -257,8 +257,8 @@ parseCrashReport(const std::string &path)
                 CrashThreadView::Event ev;
                 ev.t_s = e.numberOr("t_s", 0.0);
                 ev.kind = e.stringOr("kind", "?");
-                ev.a = e.numberOr("a", 0);
-                ev.b = e.numberOr("b", 0);
+                ev.a = e.integerOr("a", 0);
+                ev.b = e.integerOr("b", 0);
                 ev.tag = e.stringOr("tag", "");
                 tv.events.push_back(std::move(ev));
             }
@@ -650,7 +650,7 @@ buildRunReport(const ReportOptions &opts)
                                                     : crash.reason)
            << "\n";
         md << "- signal: " << crash.signal_name << " ("
-           << static_cast<long>(crash.signal) << ")\n";
+           << crash.signal << ")\n";
         if (!crash.tool.empty())
             md << "- tool: " << crash.tool << "\n";
         if (!crash.identity_hash.empty())
@@ -661,8 +661,7 @@ buildRunReport(const ReportOptions &opts)
             md << "### Event counters\n\n";
             md << "| event | count |\n|---|---|\n";
             for (const auto &[name, count] : crash.counters)
-                md << "| " << name << " | "
-                   << static_cast<long long>(count) << " |\n";
+                md << "| " << name << " | " << count << " |\n";
             md << "\n";
         }
         for (const CrashThreadView &t : crash.threads) {
@@ -675,11 +674,10 @@ buildRunReport(const ReportOptions &opts)
             } else {
                 for (std::size_t p = 0; p < t.open_phases.size(); ++p)
                     md << (p ? "/" : "") << t.open_phases[p];
-                if (t.open_phase_depth >
-                    static_cast<long>(t.open_phases.size()))
-                    md << " (+"
-                       << t.open_phase_depth -
-                              static_cast<long>(t.open_phases.size())
+                const auto named =
+                    static_cast<std::int64_t>(t.open_phases.size());
+                if (t.open_phase_depth > named)
+                    md << " (+" << t.open_phase_depth - named
                        << " deeper)";
             }
             md << "\n\n";
@@ -693,8 +691,7 @@ buildRunReport(const ReportOptions &opts)
                 for (std::size_t e = first; e < t.events.size(); ++e) {
                     const CrashThreadView::Event &ev = t.events[e];
                     md << "| " << fmt(ev.t_s, 6) << " | " << ev.kind
-                       << " | " << static_cast<long long>(ev.a)
-                       << " | " << static_cast<long long>(ev.b)
+                       << " | " << ev.a << " | " << ev.b
                        << " | " << ev.tag << " |\n";
                 }
                 md << "\n";

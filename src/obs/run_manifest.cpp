@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -210,8 +211,8 @@ RunManifest::loadJsonFile(const std::string &path)
 
     manifest.seed_ = parseUnsigned(
         doc.require("seed", what).asString(what), 10, what, "seed");
-    manifest.jobs_ =
-        static_cast<int>(doc.require("jobs", what).asNumber(what));
+    manifest.jobs_ = static_cast<int>(
+        doc.require("jobs", what).asInteger(what + ": jobs", 0, INT_MAX));
 
     for (const util::JsonValue &entry :
          doc.require("artifacts", what).asArray(what)) {
@@ -219,7 +220,7 @@ RunManifest::loadJsonFile(const std::string &path)
         artifact.path = entry.require("path", what).asString(what);
         artifact.kind = entry.require("kind", what).asString(what);
         artifact.bytes = static_cast<std::uint64_t>(
-            entry.require("bytes", what).asNumber(what));
+            entry.require("bytes", what).asInteger(what + ": bytes", 0));
         artifact.hash = parseUnsigned(
             entry.require("hash", what).asString(what), 16, what, "hash");
         manifest.artifacts_.push_back(std::move(artifact));
@@ -232,8 +233,8 @@ RunManifest::loadJsonFile(const std::string &path)
                 ManifestPhase phase;
                 phase.path =
                     entry.require("path", what).asString(what);
-                phase.calls = static_cast<std::int64_t>(
-                    entry.require("calls", what).asNumber(what));
+                phase.calls = entry.require("calls", what)
+                                  .asInteger(what + ": calls", 0);
                 phase.seconds =
                     entry.require("seconds", what).asNumber(what);
                 manifest.phases_.push_back(std::move(phase));

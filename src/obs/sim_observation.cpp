@@ -1,6 +1,5 @@
 #include "obs/sim_observation.hpp"
 
-#include <charconv>
 #include <ostream>
 
 #include "util/artifact.hpp"
@@ -9,16 +8,6 @@
 namespace wss::obs {
 
 namespace {
-
-/// Shortest round-trip decimal form, so CSVs are bit-identical
-/// across runs and lossless to parse back.
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
 
 /// Split "r3.credit_stalls" into {"r3", "credit_stalls"}; names
 /// without a dot map to scope "-".
@@ -134,7 +123,7 @@ SimObservation::dumpCsv(std::ostream &os) const
             os << "link," << phase << ",l" << l << ",flits,"
                << link_flits[p][l] << "\n";
             os << "link," << phase << ",l" << l << ",utilization,"
-               << formatDouble(
+               << util::formatDouble(
                       linkUtilization(static_cast<SimPhase>(p), l))
                << "\n";
         }
@@ -144,14 +133,14 @@ SimObservation::dumpCsv(std::ostream &os) const
         const auto [scope, metric] = splitScope(name);
         for (std::size_t b = 0; b < data.edges.size(); ++b)
             os << "hist,run," << scope << "," << metric << ".le_"
-               << formatDouble(data.edges[b]) << ","
+               << util::formatDouble(data.edges[b]) << ","
                << data.buckets[b] << "\n";
         os << "hist,run," << scope << "," << metric << ".overflow,"
            << data.buckets.back() << "\n";
         os << "hist,run," << scope << "," << metric << ".count,"
            << data.count << "\n";
         os << "hist,run," << scope << "," << metric << ".sum,"
-           << formatDouble(data.sum) << "\n";
+           << util::formatDouble(data.sum) << "\n";
     }
 
     for (const TimelineSample &s : timeline) {

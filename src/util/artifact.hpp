@@ -14,6 +14,7 @@
 #ifndef WSS_UTIL_ARTIFACT_HPP
 #define WSS_UTIL_ARTIFACT_HPP
 
+#include <charconv>
 #include <fstream>
 #include <string>
 
@@ -41,6 +42,17 @@ writeArtifactFile(const std::string &path, std::string_view what,
     if (!ok || !os)
         fatal(what, ": error writing '", path, "' (disk full?)");
     detail::notifyLogEvent(detail::LogEvent::Artifact, path.c_str());
+}
+
+/// Shortest round-trip decimal form of @p v: the number format of
+/// the telemetry CSVs, bit-identical across runs and lossless to
+/// parse back.
+inline std::string
+formatDouble(double v)
+{
+    char buf[64];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, res.ptr);
 }
 
 } // namespace wss::util

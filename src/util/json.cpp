@@ -319,6 +319,21 @@ JsonValue::asNumber(std::string_view what) const
     return expect(Kind::Number, what).number_;
 }
 
+std::int64_t
+JsonValue::asInteger(std::string_view what, std::int64_t min,
+                     std::int64_t max) const
+{
+    const double v = asNumber(what);
+    // 2^63, the first double past INT64_MAX: the bound is exclusive.
+    constexpr double kTwo63 = 9223372036854775808.0;
+    if (!(v >= -kTwo63 && v < kTwo63) || v != std::trunc(v) ||
+        static_cast<std::int64_t>(v) < min ||
+        static_cast<std::int64_t>(v) > max)
+        fatal(what, ": ", v, " is not an integer in [", min, ", ", max,
+              "]");
+    return static_cast<std::int64_t>(v);
+}
+
 const std::string &
 JsonValue::asString(std::string_view what) const
 {
@@ -342,6 +357,13 @@ JsonValue::numberOr(std::string_view key, double fallback) const
 {
     const JsonValue *v = find(key);
     return v ? v->asNumber(key) : fallback;
+}
+
+std::int64_t
+JsonValue::integerOr(std::string_view key, std::int64_t fallback) const
+{
+    const JsonValue *v = find(key);
+    return v ? v->asInteger(key) : fallback;
 }
 
 std::string

@@ -27,6 +27,7 @@
 
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -66,14 +67,22 @@ class JsonValue
     /// Typed accessors; fatal() on kind mismatch (@p what for context).
     bool asBool(std::string_view what) const;
     double asNumber(std::string_view what) const;
+    /// asNumber() that also fatal()s unless the number is integral
+    /// and in [@p min, @p max] (by default, the range of int64).
+    std::int64_t asInteger(std::string_view what,
+                           std::int64_t min = INT64_MIN,
+                           std::int64_t max = INT64_MAX) const;
     const std::string &asString(std::string_view what) const;
     const std::vector<JsonValue> &asArray(std::string_view what) const;
     const std::vector<std::pair<std::string, JsonValue>> &
     asObject(std::string_view what) const;
 
-    /// Convenience: member @p key as number/string, or @p fallback
-    /// when the member is absent (kind mismatch still fatal()s).
+    /// Convenience: member @p key as number/integer/string, or
+    /// @p fallback when the member is absent (kind mismatch still
+    /// fatal()s).
     double numberOr(std::string_view key, double fallback) const;
+    std::int64_t integerOr(std::string_view key,
+                           std::int64_t fallback) const;
     std::string stringOr(std::string_view key,
                          std::string_view fallback) const;
 

@@ -552,6 +552,32 @@ TEST(Json, OutOfRangeAndNonFiniteNumbersAreFatal)
             << doc;
 }
 
+TEST(Json, IntegersAreIntegralAndInRange)
+{
+    EXPECT_EQ(parse("-9223372036854775808").asInteger("n"), INT64_MIN);
+    // The largest double below 2^63.
+    EXPECT_EQ(parse("9223372036854774784").asInteger("n"),
+              9223372036854774784LL);
+    EXPECT_EQ(parse("4.2e1").asInteger("n", 0, 42), 42);
+    EXPECT_EQ(parse("{\"n\": -3}").integerOr("n", 0), -3);
+    EXPECT_EQ(parse("{}").integerOr("n", 7), 7);
+    for (const char *doc :
+         {"1e300", "-1e300", "9223372036854775808", "0.5", "-2.5e-3"})
+        EXPECT_EXIT(parse(doc).asInteger("field"),
+                    ::testing::ExitedWithCode(1),
+                    "field: .* is not an integer")
+            << doc;
+    EXPECT_EXIT(parse("43").asInteger("jobs", 0, 42),
+                ::testing::ExitedWithCode(1),
+                "jobs: 43 is not an integer in \\[0, 42\\]");
+    EXPECT_EXIT(parse("-1").asInteger("bytes", 0),
+                ::testing::ExitedWithCode(1), "bytes: -1 is not an integer");
+    EXPECT_EXIT(parse("{\"a\": 1.5}").integerOr("a", 0),
+                ::testing::ExitedWithCode(1), "a: 1.5 is not an integer");
+    EXPECT_EXIT(parse("\"7\"").asInteger("n"), ::testing::ExitedWithCode(1),
+                "n: expected number, got string");
+}
+
 TEST(Json, BadEscapesAreFatal)
 {
     for (const char *doc :

@@ -2,23 +2,8 @@
  * @file
  * `wss` — command-line front end to the waferscale-switch models.
  *
- * Subcommands:
- *   solve       size the maximum-radix switch for a design point
- *   sim         latency-vs-load sweep on a waferscale Clos fabric
- *   sweep       parallel multi-pattern sweep campaign (--jobs N)
- *   trace       generate (and save) a synthetic mini-app message trace
- *   yield       manufacturing-yield analysis for a chiplet assembly
- *   resilience  Monte-Carlo defect/spare/degraded-mode campaign
- *   dcn         flow-level multi-switch DCN comparison (waferscale
- *               vs conventional), calibrated from the fabric sim
- *   coll        collective-communication comparison (allreduce /
- *               all-to-all schedules priced on waferscale vs
- *               conventional, cross-checked against alpha-beta)
- *   report      render one run's provenance manifest + telemetry
- *               artifacts as Markdown (+ JSON) with health checks
- *   plan        full system plan (power delivery / cooling / enclosure)
- *
- * Run `wss <subcommand> --help` for the flags of each.
+ * kCommands (at the end of the file) lists the subcommands and their
+ * flag tables; `wss <subcommand> --help` prints one table.
  */
 
 #include <algorithm>
@@ -27,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -65,23 +51,77 @@ namespace {
 
 using namespace wss;
 
-/// Minimal --key value / --flag parser.
+/// One flag of a subcommand: its name (without "--"), whether it
+/// takes a value, and its help line.
+struct Flag
+{
+    const char *name;
+    bool takes_value;
+    const char *help;
+};
+constexpr bool kValue = true;
+constexpr bool kSwitch = false;
+
+using FlagGroup = std::vector<Flag>;
+
+class Args;
+
+/// One subcommand: its flag table (a list of groups, each printed as
+/// one block by --help) and the function that runs it.
+struct Command
+{
+    const char *name;
+    const char *summary;
+    std::vector<const FlagGroup *> groups;
+    int (*run)(const Args &);
+
+    const Flag *
+    find(const std::string &name) const
+    {
+        for (const FlagGroup *group : groups)
+            for (const Flag &flag : *group)
+                if (name == flag.name)
+                    return &flag;
+        return nullptr;
+    }
+};
+
+/**
+ * The flags of one `wss <command>` invocation, checked against the
+ * command's table before any work runs: an unknown flag, a value
+ * given to a switch, a malformed --seed or --jobs is a fatal() naming
+ * the flag. A value-taking flag given without a value reads as "".
+ */
 class Args
 {
   public:
-    Args(int argc, char **argv, int first)
+    Args(int argc, char **argv, const Command &cmd)
     {
-        for (int i = first; i < argc; ++i) {
+        for (int i = 2; i < argc; ++i) {
             std::string key = argv[i];
             if (key.rfind("--", 0) != 0)
                 fatal("unexpected argument '", key,
                       "' (flags look like --key value)");
             key = key.substr(2);
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                values_[key] = argv[++i];
-            else
-                values_[key] = "";
+            const Flag *flag = cmd.find(key);
+            if (flag == nullptr && key != "help")
+                fatal("wss ", cmd.name, ": unknown flag --", key,
+                      " (see `wss ", cmd.name, " --help`)");
+            const bool valued =
+                i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+            if (valued && (flag == nullptr || !flag->takes_value))
+                fatal("wss ", cmd.name, ": --", key,
+                      " takes no value (got '", argv[i + 1], "')");
+            values_[key] = valued ? argv[++i] : "";
         }
+        // Strict by contract (same as WSS_JOBS): a seed or worker
+        // count silently coerced would poison every artifact.
+        if (has("seed"))
+            seed_ = static_cast<std::uint64_t>(
+                util::parsePositiveInt(str("seed", ""), "--seed"));
+        if (has("jobs"))
+            jobs_ = static_cast<int>(
+                util::parsePositiveInt(str("jobs", ""), "--jobs", 4096));
     }
 
     bool has(const std::string &key) const
@@ -119,6 +159,16 @@ class Args
                    : util::parseInteger(it->second, ("--" + key).c_str());
     }
 
+    /// --seed (default 1).
+    std::uint64_t seed() const { return seed_; }
+
+    /// --jobs (default: exec::ThreadPool::defaultThreads()).
+    int
+    jobs() const
+    {
+        return jobs_ > 0 ? jobs_ : exec::ThreadPool::defaultThreads();
+    }
+
     /// Every flag as given, for provenance manifests.
     const std::map<std::string, std::string> &
     all() const
@@ -128,6 +178,8 @@ class Args
 
   private:
     std::map<std::string, std::string> values_;
+    std::uint64_t seed_ = 1;
+    int jobs_ = 0;
 };
 
 /// True for flags that only say *where* outputs go: they are not
@@ -145,24 +197,10 @@ isOutputPathFlag(const std::string &key)
 /**
  * The observability session of one campaign-shaped subcommand (sim /
  * sweep / resilience / dcn / coll): the one place `wss` handles the
- * observability flags and owns the state behind them.
- *
- *   --profile              print the phase self-time table
- *   --trace-out run.json   Chrome-trace timeline (Perfetto-loadable)
- *   --manifest-out m.json  provenance manifest: every non-output
- *                          flag, seed, worker count, the artifact
- *                          inventory and the phase timings (the
- *                          input to `wss report`)
- *   --flight-recorder [N]  per-thread flight-recorder rings
- *                          (N events/thread, default 4096)
- *   --crash-dump c.json    install crash handlers: panic(), fatal()
- *                          and fatal signals write a c.json
- *                          post-mortem (`wss report --crash c.json`)
- *   --watchdog SECONDS     monitor thread aborts — with a diagnostic
- *                          dump — when a busy worker records no event
- *                          for SECONDS
- *   --progress             live status line on stderr (jobs
- *                          done/total, ETA, per-worker design point)
+ * flags of kObsFlags and owns the state behind them. The manifest
+ * records every non-output flag, the seed, the worker count, the
+ * artifact inventory and the phase timings (the input to `wss
+ * report`).
  *
  * The constructor validates every flag, --stats-out included, before
  * any work runs; finish() prints the profile table, writes the trace
@@ -321,89 +359,67 @@ class ObsSession
     bool monitoring_ = false;
 };
 
-tech::WsiTechnology
-parseWsi(const std::string &name)
+/// The value named @p name among @p choices; fatal() with @p what
+/// and the valid names on anything else.
+template <class T>
+T
+choose(const std::string &what, const std::string &name,
+       std::initializer_list<std::pair<const char *, T>> choices)
 {
-    if (name == "siif")
-        return tech::siIf();
-    if (name == "siif2x")
-        return tech::siIf2x();
-    if (name == "infosow")
-        return tech::infoSow();
-    fatal("unknown WSI technology '", name,
-          "' (siif | siif2x | infosow)");
+    std::string names;
+    for (const auto &[key, value] : choices) {
+        if (name == key)
+            return value;
+        names += (names.empty() ? "" : " | ") + std::string(key);
+    }
+    fatal(what, " '", name, "' (", names, ")");
 }
 
-tech::ExternalIoTech
-parseExternalIo(const std::string &name)
-{
-    if (name == "serdes")
-        return tech::serdes();
-    if (name == "optical")
-        return tech::opticalIo();
-    if (name == "area")
-        return tech::areaIo();
-    fatal("unknown external I/O '", name, "' (serdes | optical | area)");
-}
-
-tech::CoolingSolution
-parseCooling(const std::string &name)
-{
-    if (name == "air")
-        return tech::airCooling();
-    if (name == "water")
-        return tech::waterCooling();
-    if (name == "multiphase")
-        return tech::multiphaseCooling();
-    if (name == "none")
-        return tech::unlimitedCooling();
-    fatal("unknown cooling '", name,
-          "' (air | water | multiphase | none)");
-}
-
-core::TopologyKind
-parseTopology(const std::string &name)
-{
-    if (name == "clos")
-        return core::TopologyKind::Clos;
-    if (name == "mesh")
-        return core::TopologyKind::Mesh;
-    if (name == "butterfly")
-        return core::TopologyKind::Butterfly;
-    if (name == "fb")
-        return core::TopologyKind::FlattenedButterfly;
-    if (name == "dragonfly")
-        return core::TopologyKind::Dragonfly;
-    fatal("unknown topology '", name,
-          "' (clos | mesh | butterfly | fb | dragonfly)");
-}
-
+/// The design point of `wss solve` / `wss plan`, and the waferscale
+/// side of `wss dcn` / `wss coll`, whose tables leave out --topology,
+/// --hetero and --ideal (their internal fabric is a plain Clos).
 core::DesignSpec
-specFromArgs(const Args &args)
+specFromArgs(const Args &args, int default_restarts)
 {
     core::DesignSpec spec;
     spec.substrate_side = args.num("substrate", 300.0);
-    spec.wsi = parseWsi(args.str("wsi", "siif2x"));
-    spec.external_io = parseExternalIo(args.str("ext", "optical"));
+    spec.wsi = choose<tech::WsiTechnology>(
+        "unknown WSI technology", args.str("wsi", "siif2x"),
+        {{"siif", tech::siIf()}, {"siif2x", tech::siIf2x()},
+         {"infosow", tech::infoSow()}});
+    spec.external_io = choose<tech::ExternalIoTech>(
+        "unknown external I/O", args.str("ext", "optical"),
+        {{"serdes", tech::serdes()}, {"optical", tech::opticalIo()},
+         {"area", tech::areaIo()}});
     const int config = static_cast<int>(args.integer("ssc-config", 1));
     spec.ssc = power::tomahawk5(config);
     const int deradix = static_cast<int>(args.integer("deradix", 1));
     if (deradix > 1)
         spec.ssc = topology::deradixedSsc(spec.ssc, deradix);
-    spec.cooling = parseCooling(args.str("cooling", "none"));
+    spec.cooling = choose<tech::CoolingSolution>(
+        "unknown cooling", args.str("cooling", "none"),
+        {{"air", tech::airCooling()}, {"water", tech::waterCooling()},
+         {"multiphase", tech::multiphaseCooling()},
+         {"none", tech::unlimitedCooling()}});
     spec.leaf_split = static_cast<int>(args.integer("hetero", 1));
-    spec.topology = parseTopology(args.str("topology", "clos"));
+    using core::TopologyKind;
+    spec.topology = choose<TopologyKind>(
+        "unknown topology", args.str("topology", "clos"),
+        {{"clos", TopologyKind::Clos}, {"mesh", TopologyKind::Mesh},
+         {"butterfly", TopologyKind::Butterfly},
+         {"fb", TopologyKind::FlattenedButterfly},
+         {"dragonfly", TopologyKind::Dragonfly}});
     spec.area_only = args.has("ideal");
     spec.mapping_restarts =
-        static_cast<int>(args.integer("restarts", 4));
-    spec.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+        static_cast<int>(args.integer("restarts", default_restarts));
+    spec.seed = args.seed();
     return spec;
 }
 
 int
 cmdSolve(const Args &args)
 {
-    const core::DesignSpec spec = specFromArgs(args);
+    const core::DesignSpec spec = specFromArgs(args, 4);
     const auto result = core::RadixSolver(spec).solveMaxPorts();
     const auto &best = result.best;
 
@@ -465,7 +481,7 @@ simConfigFromArgs(const Args &args)
     cfg.warmup = args.integer("warmup", 1000);
     cfg.measure = args.integer("measure", 4000);
     cfg.drain_limit = args.integer("drain", 20000);
-    cfg.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    cfg.seed = args.seed();
     return cfg;
 }
 
@@ -480,6 +496,44 @@ ratesFromArgs(const Args &args)
         return sim::geometricRates(args.num("min-rate", 0.05),
                                    max_rate, points);
     return sim::linearRates(max_rate, points);
+}
+
+/// Comma-separated "--key a,b,c" list; fatal when empty. An empty
+/// item ("a,,b") is kept, so the caller's parser rejects it instead
+/// of a value silently going missing.
+std::vector<std::string>
+listFromArgs(const Args &args, const std::string &key,
+             const std::string &fallback)
+{
+    std::vector<std::string> items;
+    std::istringstream list(args.str(key, fallback));
+    std::string item;
+    while (std::getline(list, item, ','))
+        items.push_back(item);
+    if (items.empty())
+        fatal("--", key, " needs at least one value");
+    return items;
+}
+
+/// The latency-vs-load table of @p sweep (offered load printed to
+/// @p offered_digits), then its zero-load/saturation line, unended.
+void
+printSweep(const std::string &title, const sim::SweepResult &sweep,
+           int offered_digits)
+{
+    Table table(title,
+                {"offered", "accepted", "avg latency", "p99", "stable"});
+    for (const auto &point : sweep.points)
+        table.addRow({Table::num(point.offered, offered_digits),
+                      Table::num(point.accepted, 3),
+                      Table::num(point.avg_latency, 1),
+                      Table::num(point.p99_latency, 1),
+                      point.stable ? "yes" : "no"});
+    table.print(std::cout);
+    std::cout << "zero-load " << Table::num(sweep.zero_load_latency, 1)
+              << " cycles, saturation "
+              << Table::num(sweep.saturation_throughput, 3)
+              << " flits/terminal/cycle";
 }
 
 int
@@ -511,21 +565,10 @@ cmdSim(const Args &args)
                               ratesFromArgs(args), cfg);
     }();
 
-    Table table("wss sim — " + pattern + " on " + Table::num(ports) +
-                    " ports",
-                {"offered", "accepted", "avg latency", "p99", "stable"});
-    for (const auto &point : sweep.points) {
-        table.addRow({Table::num(point.offered, 2),
-                      Table::num(point.accepted, 3),
-                      Table::num(point.avg_latency, 1),
-                      Table::num(point.p99_latency, 1),
-                      point.stable ? "yes" : "no"});
-    }
-    table.print(std::cout);
-    std::cout << "zero-load " << Table::num(sweep.zero_load_latency, 1)
-              << " cycles, saturation "
-              << Table::num(sweep.saturation_throughput, 3)
-              << " flits/terminal/cycle\n";
+    printSweep("wss sim — " + pattern + " on " + Table::num(ports) +
+                   " ports",
+               sweep, 2);
+    std::cout << "\n";
 
     // Observed run: one extra simulation with per-router/per-link
     // telemetry on, dumped as long-format CSV.
@@ -570,8 +613,7 @@ cmdSweep(const Args &args)
         static_cast<int>(args.integer("packet-flits", 1));
     const int repetitions =
         static_cast<int>(args.integer("reps", 1));
-    const int jobs = static_cast<int>(
-        args.integer("jobs", exec::ThreadPool::defaultThreads()));
+    const int jobs = args.jobs();
     const auto topo =
         topology::buildFoldedClos({ports, power::tomahawk5(1), 1});
 
@@ -579,20 +621,11 @@ cmdSweep(const Args &args)
     const sim::SimConfig cfg = simConfigFromArgs(args);
     const auto rates = ratesFromArgs(args);
 
-    // One campaign job per traffic pattern (comma-separated list).
-    std::vector<std::string> patterns;
-    {
-        std::istringstream list(args.str("patterns", "uniform"));
-        std::string name;
-        while (std::getline(list, name, ','))
-            if (!name.empty())
-                patterns.push_back(name);
-    }
-    if (patterns.empty())
-        fatal("sweep: --patterns needs at least one pattern name");
-
+    // One campaign job per traffic pattern; an unknown (or empty)
+    // name fatal()s here, before any work runs.
     exec::Campaign campaign;
-    for (const auto &pattern : patterns) {
+    for (const auto &pattern : listFromArgs(args, "patterns", "uniform")) {
+        sim::makeTraffic(pattern, static_cast<int>(ports));
         exec::SweepJob job;
         job.make_network = [&topo, spec](std::uint64_t seed) {
             return std::make_unique<sim::Network>(topo, spec, seed);
@@ -615,29 +648,14 @@ cmdSweep(const Args &args)
         campaign.run(&pool, session.sink(), &session.profiler());
 
     for (const auto &job : result.jobs) {
-        const auto &sweep = job.sweep.combined;
-        Table table("wss sweep — " + job.name + " on " +
-                        Table::num(ports) + " ports (" +
-                        Table::num(static_cast<double>(
-                                       job.sweep.reps.size()),
-                                   0) +
-                        " reps)",
-                    {"offered", "accepted", "avg latency", "p99",
-                     "stable"});
-        for (const auto &point : sweep.points) {
-            table.addRow({Table::num(point.offered, 3),
-                          Table::num(point.accepted, 3),
-                          Table::num(point.avg_latency, 1),
-                          Table::num(point.p99_latency, 1),
-                          point.stable ? "yes" : "no"});
-        }
-        table.print(std::cout);
-        std::cout << "zero-load "
-                  << Table::num(sweep.zero_load_latency, 1)
-                  << " cycles, saturation "
-                  << Table::num(sweep.saturation_throughput, 3)
-                  << " flits/terminal/cycle, "
-                  << Table::num(job.seconds, 2) << " cpu-s over "
+        printSweep("wss sweep — " + job.name + " on " +
+                       Table::num(ports) + " ports (" +
+                       Table::num(static_cast<double>(
+                                      job.sweep.reps.size()),
+                                  0) +
+                       " reps)",
+                   job.sweep.combined, 3);
+        std::cout << ", " << Table::num(job.seconds, 2) << " cpu-s over "
                   << job.cells << " runs\n\n";
     }
     std::cout << "campaign: " << result.jobs.size() << " jobs on "
@@ -659,7 +677,7 @@ cmdTrace(const Args &args)
     gen.iteration_period = args.integer("period", 600);
     gen.base_message_flits =
         static_cast<int>(args.integer("message-flits", 8));
-    gen.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    gen.seed = args.seed();
 
     trace::MessageTrace trace = trace::generateMiniApp(app, ranks, gen);
     const int duplicate =
@@ -714,23 +732,6 @@ cmdYield(const Args &args)
     return 0;
 }
 
-/// Comma-separated "--key a,b,c" list; fatal when empty. An empty
-/// item ("a,,b") is kept, so the caller's parser rejects it instead
-/// of a value silently going missing.
-std::vector<std::string>
-listFromArgs(const Args &args, const std::string &key,
-             const std::string &fallback)
-{
-    std::vector<std::string> items;
-    std::istringstream list(args.str(key, fallback));
-    std::string item;
-    while (std::getline(list, item, ','))
-        items.push_back(item);
-    if (items.empty())
-        fatal("--", key, " needs at least one value");
-    return items;
-}
-
 /// The items of list flag --@p key, each parsed by @p parse, which
 /// fatals naming the flag.
 template <class Parse>
@@ -758,38 +759,6 @@ parseCount(const std::string &value, const char *what)
 int
 cmdResilience(const Args &args)
 {
-    if (args.has("help")) {
-        std::cout <<
-            "usage: wss resilience [--flags]\n"
-            "\n"
-            "Monte-Carlo resilience campaign: sample defect maps of a\n"
-            "folded-Clos waferscale switch, repair with spare SSCs,\n"
-            "classify connectivity, and (optionally) simulate the\n"
-            "degraded fabric's saturation throughput.\n"
-            "\n"
-            "  --ports 256,512      switch radices to sweep\n"
-            "  --densities 0.1,0.3  die defect densities (per cm^2)\n"
-            "  --spares 0,1,2       spare-SSC counts\n"
-            "  --ssc-radix 64       sub-switch chiplet radix\n"
-            "  --line-rate 200      SSC line rate (Gbps)\n"
-            "  --samples 500        defect maps per cell\n"
-            "  --sim-samples 0      maps also simulated packet-level\n"
-            "  --sim-rate 0.9       offered load for those runs\n"
-            "  --packet-flits 4     flits per packet\n"
-            "  --bond-yield 0.999   per-bond success probability\n"
-            "  --test-escape 0.05   defective dies missed by KGD test\n"
-            "  --node-fail 0.002    SSC field-failure probability\n"
-            "  --link-fail 0.0005   link-unit field-failure probability\n"
-            "  --jobs N             worker threads\n"
-            "  --seed 1             base seed (same seed + config =>\n"
-            "                       bit-identical CSV at any --jobs)\n"
-            "  --csv out.csv --json out.json\n"
-            "  --trace-out run.json Chrome-trace timeline of the\n"
-            "                       campaign (Perfetto-loadable)\n"
-            "  plus the sim flags of `wss sim` (--vcs, --warmup, ...)\n";
-        return 0;
-    }
-
     fault::ResilienceConfig cfg;
     cfg.radices = numbersFromArgs(
         args, "ports", "256", [](const std::string &v, const char *flag) {
@@ -814,10 +783,9 @@ cmdResilience(const Args &args)
         static_cast<int>(args.integer("packet-flits", 4));
     cfg.net_spec = fabricSpecFromArgs(args);
     cfg.sim_cfg = simConfigFromArgs(args);
-    cfg.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    cfg.seed = args.seed();
 
-    const int jobs = static_cast<int>(
-        args.integer("jobs", exec::ThreadPool::defaultThreads()));
+    const int jobs = args.jobs();
     exec::ThreadPool pool(jobs);
     ObsSession session(args, "wss resilience", cfg.seed, jobs);
     const fault::ResilienceResult result =
@@ -863,18 +831,16 @@ alignPorts(std::int64_t ports, int ssc_radix)
 /// of the radix solver: core power of its 2-level-Clos chiplets plus
 /// the substrate-crossing and external-port I/O.
 double
-estimateSwitchPower(const Args &args, std::int64_t ports,
+estimateSwitchPower(const core::DesignSpec &spec, std::int64_t ports,
                     const power::SscConfig &ssc)
 {
-    const auto wsi = parseWsi(args.str("wsi", "siif2x"));
-    const auto ext = parseExternalIo(args.str("ext", "optical"));
     const auto chiplets =
         topology::closChipletCount(ports, ssc.radix);
     return static_cast<double>(chiplets) * ssc.core_power +
            power::internalIoPower(2.0 * static_cast<double>(ports) *
                                       ssc.line_rate,
-                                  wsi) +
-           power::externalIoPower(ports, ssc.line_rate, ext);
+                                  spec.wsi) +
+           power::externalIoPower(ports, ssc.line_rate, spec.external_io);
 }
 
 /// Acquire one design's profile: load `<dir>/<name>.json` when
@@ -885,7 +851,7 @@ flow::SwitchProfile
 dcnProfile(const Args &args, const std::string &name,
            std::int64_t ports, const power::SscConfig &ssc,
            double power_watts, exec::ThreadPool *pool,
-           obs::TraceEventSink *trace, obs::Profiler *profiler)
+           ObsSession &session)
 {
     const std::string dir = args.str("profiles", "");
     const std::string path =
@@ -920,8 +886,8 @@ dcnProfile(const Args &args, const std::string &name,
     std::cout << "dcn: calibrating " << name << " ("
               << spec.ports << "-port internal fabric, "
               << spec.rates.size() << " load points)\n";
-    flow::SwitchProfile profile =
-        flow::calibrateSwitchProfile(spec, pool, trace, profiler);
+    flow::SwitchProfile profile = flow::calibrateSwitchProfile(
+        spec, pool, session.sink(), &session.profiler());
     profile.radix = ports;
     if (!path.empty()) {
         std::error_code ec;
@@ -932,97 +898,44 @@ dcnProfile(const Args &args, const std::string &name,
     return profile;
 }
 
-int
-cmdDcn(const Args &args)
+/**
+ * The two designs `wss dcn` and `wss coll` compare: the waferscale
+ * switch (solver-sized unless --ws-ports pins it) and a conventional
+ * fixed-radix box built from the same chiplet family at the same line
+ * rate. Sets @p cfg.kind and @p cfg.designs = {waferscale,
+ * conventional}, loading or calibrating both profiles; returns the
+ * waferscale design point.
+ */
+template <class CampaignConfig>
+core::DesignSpec
+setupDesignPair(const Args &args, const std::string &tool,
+                exec::ThreadPool *pool, ObsSession &session,
+                CampaignConfig &cfg)
 {
-    if (args.has("help")) {
-        std::cout <<
-            "usage: wss dcn [--flags]\n"
-            "\n"
-            "Flow-level DCN comparison: calibrate per-switch load-\n"
-            "latency profiles from the cycle-accurate fabric, build\n"
-            "multi-switch networks from a waferscale design and a\n"
-            "conventional baseline, and compare FCT/slowdown tails,\n"
-            "hop counts and power under the same flow workloads.\n"
-            "\n"
-            "  --ws-ports 0         waferscale radix (0 = run the\n"
-            "                       radix solver with the solve flags)\n"
-            "  --conv-ports 64      conventional switch radix\n"
-            "  --conv-ssc-radix 32  chiplet radix of the baseline\n"
-            "  --cal-ports 512      cap on the calibration fabric\n"
-            "  --calibrate          re-run calibration even when\n"
-            "                       --profiles has cached JSON\n"
-            "  --profiles dir       profile cache directory\n"
-            "                       (ws-<R>.json / conv-<R>.json)\n"
-            "  --dcn-topology fat-tree | dragonfly\n"
-            "  --hosts 1024         endpoints each network must cover\n"
-            "  --flows 100000       flows per cell\n"
-            "  --workloads websearch,hadoop,fixed,incast\n"
-            "  --loads 0.3,0.7      offered loads (fraction of host bw)\n"
-            "  --node-fail 0        per-switch field-failure\n"
-            "                       probability (kills mid-run)\n"
-            "  --points 5           calibration load points\n"
-            "  --jobs N             worker threads\n"
-            "  --seed 1             base seed (same seed + config =>\n"
-            "                       bit-identical CSV at any --jobs)\n"
-            "  --csv out.csv --json out.json --trace-out run.json\n"
-            "  --stats-out t.csv    re-run the first cell with windowed\n"
-            "                       telemetry on and dump the per-link\n"
-            "                       congestion timeline (long CSV)\n"
-            "  --telemetry-window 0 window length in simulated seconds\n"
-            "                       (0 = duration/24 of that cell)\n"
-            "  --profile            print the phase self-time table\n"
-            "  --manifest-out m.json  provenance manifest of this run\n"
-            "  plus the solve flags (--substrate, --wsi, ...) and the\n"
-            "  sim flags of `wss sim` (--vcs, --warmup, ...)\n";
-        return 0;
-    }
+    cfg.kind = choose<flow::DcnKind>(
+        tool + ": unknown --dcn-topology",
+        args.str("dcn-topology", "fat-tree"),
+        {{"fat-tree", flow::DcnKind::FatTree},
+         {"dragonfly", flow::DcnKind::Dragonfly}});
 
-    const int jobs = static_cast<int>(
-        args.integer("jobs", exec::ThreadPool::defaultThreads()));
-    exec::ThreadPool pool(jobs);
-    ObsSession session(
-        args, "wss dcn",
-        static_cast<std::uint64_t>(args.integer("seed", 1)), jobs);
-    // Checked before the solver and calibration run.
-    const std::vector<double> loads =
-        numbersFromArgs(args, "loads", "0.3,0.7", util::parseFiniteNumber);
-
-    // Waferscale design: solver-sized unless --ws-ports pins it.
-    core::DesignSpec dspec;
-    dspec.substrate_side = args.num("substrate", 300.0);
-    dspec.wsi = parseWsi(args.str("wsi", "siif2x"));
-    dspec.external_io = parseExternalIo(args.str("ext", "optical"));
-    dspec.ssc = power::tomahawk5(
-        static_cast<int>(args.integer("ssc-config", 1)));
-    const int deradix = static_cast<int>(args.integer("deradix", 1));
-    if (deradix > 1)
-        dspec.ssc = topology::deradixedSsc(dspec.ssc, deradix);
-    dspec.cooling = parseCooling(args.str("cooling", "none"));
-    dspec.topology = core::TopologyKind::Clos; // internal fabric
-    dspec.mapping_restarts =
-        static_cast<int>(args.integer("restarts", 2));
-    dspec.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
-
+    const core::DesignSpec dspec = specFromArgs(args, 2);
     std::int64_t ws_ports = args.integer("ws-ports", 0);
     double ws_power = 0.0;
     if (ws_ports <= 0) {
         const auto solved = core::RadixSolver(dspec).solveMaxPorts();
         if (solved.best.ports == 0)
-            fatal("dcn: the radix solver found no feasible "
-                  "waferscale design; pin one with --ws-ports");
+            fatal(tool, ": the radix solver found no feasible "
+                        "waferscale design; pin one with --ws-ports");
         ws_ports = alignPorts(solved.best.ports, dspec.ssc.radix);
         ws_power = solved.best.power.total();
-        std::cout << "dcn: solver sized the waferscale switch at "
+        std::cout << tool << ": solver sized the waferscale switch at "
                   << ws_ports << " ports, "
                   << Table::num(ws_power / 1000.0, 1) << " kW\n";
     } else {
         ws_ports = alignPorts(ws_ports, dspec.ssc.radix);
-        ws_power = estimateSwitchPower(args, ws_ports, dspec.ssc);
+        ws_power = estimateSwitchPower(dspec, ws_ports, dspec.ssc);
     }
 
-    // Conventional baseline: a small fixed-radix box built from the
-    // same chiplet family at the same line rate.
     const std::int64_t conv_ports = args.integer("conv-ports", 64);
     const power::SscConfig conv_ssc = power::scaledSsc(
         static_cast<int>(args.integer("conv-ssc-radix", 32)),
@@ -1030,25 +943,28 @@ cmdDcn(const Args &args)
     const std::int64_t conv_aligned =
         alignPorts(conv_ports, conv_ssc.radix);
     const double conv_power =
-        estimateSwitchPower(args, conv_aligned, conv_ssc);
+        estimateSwitchPower(dspec, conv_aligned, conv_ssc);
 
-    const flow::SwitchProfile ws_profile = dcnProfile(
-        args, "ws-" + std::to_string(ws_ports), ws_ports, dspec.ssc,
-        ws_power, &pool, session.sink(), &session.profiler());
-    const flow::SwitchProfile conv_profile = dcnProfile(
-        args, "conv-" + std::to_string(conv_aligned), conv_aligned,
-        conv_ssc, conv_power, &pool, session.sink(), &session.profiler());
+    cfg.designs = {
+        dcnProfile(args, "ws-" + std::to_string(ws_ports), ws_ports,
+                   dspec.ssc, ws_power, pool, session),
+        dcnProfile(args, "conv-" + std::to_string(conv_aligned),
+                   conv_aligned, conv_ssc, conv_power, pool, session)};
+    return dspec;
+}
+
+int
+cmdDcn(const Args &args)
+{
+    const int jobs = args.jobs();
+    exec::ThreadPool pool(jobs);
+    ObsSession session(args, "wss dcn", args.seed(), jobs);
+    // Checked before the solver and calibration run.
+    const std::vector<double> loads =
+        numbersFromArgs(args, "loads", "0.3,0.7", util::parseFiniteNumber);
 
     flow::DcnCampaignConfig cfg;
-    cfg.designs = {ws_profile, conv_profile};
-    const std::string kind = args.str("dcn-topology", "fat-tree");
-    if (kind == "fat-tree")
-        cfg.kind = flow::DcnKind::FatTree;
-    else if (kind == "dragonfly")
-        cfg.kind = flow::DcnKind::Dragonfly;
-    else
-        fatal("dcn: unknown --dcn-topology '", kind,
-              "' (fat-tree | dragonfly)");
+    setupDesignPair(args, "dcn", &pool, session, cfg);
     cfg.hosts = args.integer("hosts", 1024);
     cfg.workloads.clear();
     for (const auto &name :
@@ -1057,7 +973,7 @@ cmdDcn(const Args &args)
     cfg.loads = loads;
     cfg.flows_per_cell = args.integer("flows", 100000);
     cfg.fault_model.node_field_failure = args.num("node-fail", 0.0);
-    cfg.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+    cfg.seed = args.seed();
 
     const flow::DcnResult result =
         flow::DcnCampaign(cfg).run(&pool, session.sink(),
@@ -1094,14 +1010,9 @@ cmdDcn(const Args &args)
     if (args.has("stats-out")) {
         const std::string path = args.str("stats-out", "");
         const flow::SwitchProfile &profile = cfg.designs.front();
-        flow::DcnTopology topo =
-            cfg.kind == flow::DcnKind::FatTree
-                ? flow::DcnTopology::buildFatTree(
-                      cfg.hosts, static_cast<int>(profile.radix),
-                      profile.line_rate_gbps)
-                : flow::DcnTopology::buildDragonfly(
-                      cfg.hosts, static_cast<int>(profile.radix),
-                      profile.line_rate_gbps);
+        flow::DcnTopology topo = flow::DcnTopology::build(
+            cfg.kind, cfg.hosts, static_cast<int>(profile.radix),
+            profile.line_rate_gbps);
         flow::DcnWorkloadSpec workload = cfg.workloads.front();
         workload.load = cfg.loads.front();
         workload.flow_count = cfg.flows_per_cell;
@@ -1200,147 +1111,20 @@ parsePlanShape(const std::string &text)
 int
 cmdColl(const Args &args)
 {
-    if (args.has("help")) {
-        std::cout <<
-            "usage: wss coll [--flags]\n"
-            "\n"
-            "Collective-communication comparison: schedule allreduce /\n"
-            "all-to-all algorithms as deterministic step-ordered\n"
-            "message lists, execute them flow-level on a solver-sized\n"
-            "waferscale switch network and a conventional baseline,\n"
-            "and cross-check every cell against the closed-form\n"
-            "alpha-beta cost model.\n"
-            "\n"
-            "  --ranks 64           participating ranks (one per host;\n"
-            "                       hd/tree need a power of two)\n"
-            "  --collectives ring,hd,tree,alltoall\n"
-            "                       (also: rd, reduce-scatter,\n"
-            "                       all-gather)\n"
-            "  --payloads 1048576   per-rank payload bytes, comma list\n"
-            "  --dcn-topology fat-tree | dragonfly\n"
-            "  --kill-step N        kill a switch/trunk just before\n"
-            "                       step N of every collective\n"
-            "  --kill-trunk         kill a trunk instead of a switch\n"
-            "  --kill-id 0          which switch/trunk dies\n"
-            "  --fabric             also replay the schedules cycle-\n"
-            "                       accurately on the waferscale\n"
-            "                       internal fabric (crosscheck)\n"
-            "  --fabric-payload 65536  per-rank bytes for the cycle-\n"
-            "                       accurate replay (kept small; the\n"
-            "                       fabric sim is ~1e5x slower)\n"
-            "  --plan dp=8,tp=4,pp=2,ep=2\n"
-            "                       also compose an LLM training\n"
-            "                       iteration's collective mix and\n"
-            "                       price it per design (each group\n"
-            "                       priced on a dedicated network —\n"
-            "                       an overlap-free upper bound)\n"
-            "  --params 7e9 --layers 32 --hidden 4096 --tokens 4096\n"
-            "  --microbatches 8 --moe-layers 0 --moe-capacity 1\n"
-            "                       model geometry for --plan\n"
-            "  --ws-ports 0         waferscale radix (0 = run the\n"
-            "                       radix solver with the solve flags)\n"
-            "  --conv-ports 64      conventional switch radix\n"
-            "  --conv-ssc-radix 32  chiplet radix of the baseline\n"
-            "  --profiles dir       profile cache directory, as in\n"
-            "                       `wss dcn` [--calibrate refreshes]\n"
-            "  --jobs N             worker threads\n"
-            "  --seed 1             recorded in artifacts (the engine\n"
-            "                       itself is deterministic)\n"
-            "  --csv out.csv --json out.json --trace-out run.json\n"
-            "  --stats-out t.csv    re-run the first cell with per-rank\n"
-            "                       per-step telemetry on and dump the\n"
-            "                       collective's Gantt data (long CSV)\n"
-            "  --profile            print the phase self-time table\n"
-            "  --manifest-out m.json  provenance manifest of this run\n"
-            "  plus the solve flags (--substrate, --wsi, ...) and the\n"
-            "  sim flags of `wss sim` (--vcs, --warmup, ...)\n";
-        return 0;
-    }
-
-    // Strict by contract (same as WSS_JOBS): a malformed --seed or
-    // --ranks silently coerced would poison every artifact, so
-    // anything but a plain positive decimal integer is fatal.
-    const std::uint64_t seed = static_cast<std::uint64_t>(
-        args.has("seed")
-            ? util::parsePositiveInt(args.str("seed", ""), "--seed")
-            : 1);
-    const int ranks = static_cast<int>(
-        args.has("ranks")
-            ? util::parsePositiveInt(args.str("ranks", ""), "--ranks",
-                                     1 << 20)
-            : 64);
-    const int jobs = static_cast<int>(
-        args.has("jobs")
-            ? util::parsePositiveInt(args.str("jobs", ""), "--jobs",
-                                     4096)
-            : exec::ThreadPool::defaultThreads());
+    const int ranks = static_cast<int>(util::parsePositiveInt(
+        args.str("ranks", "64"), "--ranks", 1 << 20));
+    const int jobs = args.jobs();
     const std::vector<double> payloads = numbersFromArgs(
         args, "payloads", "1048576", util::parseFiniteNumber);
 
     exec::ThreadPool pool(jobs);
-    ObsSession session(args, "wss coll", seed, jobs);
+    ObsSession session(args, "wss coll", args.seed(), jobs);
     obs::MetricsRegistry metrics;
 
-    // Waferscale design vs conventional baseline, exactly as in
-    // `wss dcn` (shared profile cache format).
-    core::DesignSpec dspec;
-    dspec.substrate_side = args.num("substrate", 300.0);
-    dspec.wsi = parseWsi(args.str("wsi", "siif2x"));
-    dspec.external_io = parseExternalIo(args.str("ext", "optical"));
-    dspec.ssc = power::tomahawk5(
-        static_cast<int>(args.integer("ssc-config", 1)));
-    const int deradix = static_cast<int>(args.integer("deradix", 1));
-    if (deradix > 1)
-        dspec.ssc = topology::deradixedSsc(dspec.ssc, deradix);
-    dspec.cooling = parseCooling(args.str("cooling", "none"));
-    dspec.topology = core::TopologyKind::Clos;
-    dspec.mapping_restarts =
-        static_cast<int>(args.integer("restarts", 2));
-    dspec.seed = seed;
-
-    std::int64_t ws_ports = args.integer("ws-ports", 0);
-    double ws_power = 0.0;
-    if (ws_ports <= 0) {
-        const auto solved = core::RadixSolver(dspec).solveMaxPorts();
-        if (solved.best.ports == 0)
-            fatal("coll: the radix solver found no feasible "
-                  "waferscale design; pin one with --ws-ports");
-        ws_ports = alignPorts(solved.best.ports, dspec.ssc.radix);
-        ws_power = solved.best.power.total();
-        std::cout << "coll: solver sized the waferscale switch at "
-                  << ws_ports << " ports, "
-                  << Table::num(ws_power / 1000.0, 1) << " kW\n";
-    } else {
-        ws_ports = alignPorts(ws_ports, dspec.ssc.radix);
-        ws_power = estimateSwitchPower(args, ws_ports, dspec.ssc);
-    }
-
-    const std::int64_t conv_ports = args.integer("conv-ports", 64);
-    const power::SscConfig conv_ssc = power::scaledSsc(
-        static_cast<int>(args.integer("conv-ssc-radix", 32)),
-        dspec.ssc.line_rate);
-    const std::int64_t conv_aligned =
-        alignPorts(conv_ports, conv_ssc.radix);
-    const double conv_power =
-        estimateSwitchPower(args, conv_aligned, conv_ssc);
-
-    const flow::SwitchProfile ws_profile = dcnProfile(
-        args, "ws-" + std::to_string(ws_ports), ws_ports, dspec.ssc,
-        ws_power, &pool, session.sink(), &session.profiler());
-    const flow::SwitchProfile conv_profile = dcnProfile(
-        args, "conv-" + std::to_string(conv_aligned), conv_aligned,
-        conv_ssc, conv_power, &pool, session.sink(), &session.profiler());
-
     coll::CollCampaignConfig cfg;
-    cfg.designs = {ws_profile, conv_profile};
-    const std::string kind = args.str("dcn-topology", "fat-tree");
-    if (kind == "fat-tree")
-        cfg.kind = flow::DcnKind::FatTree;
-    else if (kind == "dragonfly")
-        cfg.kind = flow::DcnKind::Dragonfly;
-    else
-        fatal("coll: unknown --dcn-topology '", kind,
-              "' (fat-tree | dragonfly)");
+    const core::DesignSpec dspec =
+        setupDesignPair(args, "coll", &pool, session, cfg);
+    const flow::SwitchProfile &ws_profile = cfg.designs.front();
     cfg.ranks = ranks;
     cfg.collectives.clear();
     for (const auto &name :
@@ -1353,7 +1137,7 @@ cmdColl(const Args &args)
         cfg.fault.kill_switch = !args.has("kill-trunk");
         cfg.fault.id = static_cast<int>(args.integer("kill-id", 0));
     }
-    cfg.seed = seed;
+    cfg.seed = args.seed();
 
     const coll::CollResult result =
         coll::CollCampaign(cfg).run(&pool, session.sink(),
@@ -1457,16 +1241,10 @@ cmdColl(const Args &args)
             for (const auto &e : plan) {
                 const coll::Schedule schedule = coll::buildSchedule(
                     {e.collective, e.algorithm}, e.group_ranks);
-                flow::DcnTopology topo =
-                    cfg.kind == flow::DcnKind::FatTree
-                        ? flow::DcnTopology::buildFatTree(
-                              e.group_ranks,
-                              static_cast<int>(profile.radix),
-                              profile.line_rate_gbps)
-                        : flow::DcnTopology::buildDragonfly(
-                              e.group_ranks,
-                              static_cast<int>(profile.radix),
-                              profile.line_rate_gbps);
+                flow::DcnTopology topo = flow::DcnTopology::build(
+                    cfg.kind, e.group_ranks,
+                    static_cast<int>(profile.radix),
+                    profile.line_rate_gbps);
                 coll::CollExecConfig exec_cfg;
                 exec_cfg.metrics = &metrics;
                 const coll::CollExecResult r = coll::executeOnDcn(
@@ -1494,16 +1272,9 @@ cmdColl(const Args &args)
             // Network energy ceiling for the iteration: every switch
             // of a fabric covering all ranks burning its plate power
             // for the whole (overlap-free) collective time.
-            flow::DcnTopology full =
-                cfg.kind == flow::DcnKind::FatTree
-                    ? flow::DcnTopology::buildFatTree(
-                          shape.totalRanks(),
-                          static_cast<int>(profile.radix),
-                          profile.line_rate_gbps)
-                    : flow::DcnTopology::buildDragonfly(
-                          shape.totalRanks(),
-                          static_cast<int>(profile.radix),
-                          profile.line_rate_gbps);
+            flow::DcnTopology full = flow::DcnTopology::build(
+                cfg.kind, shape.totalRanks(),
+                static_cast<int>(profile.radix), profile.line_rate_gbps);
             summaries.push_back(
                 profile.name + ": comm " +
                 Table::num(iter_s * 1e3, 2) + " ms/iter, " +
@@ -1528,14 +1299,9 @@ cmdColl(const Args &args)
         const flow::SwitchProfile &profile = cfg.designs.front();
         const coll::Schedule schedule =
             coll::buildSchedule(cfg.collectives.front(), cfg.ranks);
-        flow::DcnTopology topo =
-            cfg.kind == flow::DcnKind::FatTree
-                ? flow::DcnTopology::buildFatTree(
-                      cfg.ranks, static_cast<int>(profile.radix),
-                      profile.line_rate_gbps)
-                : flow::DcnTopology::buildDragonfly(
-                      cfg.ranks, static_cast<int>(profile.radix),
-                      profile.line_rate_gbps);
+        flow::DcnTopology topo = flow::DcnTopology::build(
+            cfg.kind, cfg.ranks, static_cast<int>(profile.radix),
+            profile.line_rate_gbps);
         coll::CollExecConfig exec_cfg;
         exec_cfg.telemetry = true;
         exec_cfg.metrics = &metrics;
@@ -1561,35 +1327,6 @@ cmdColl(const Args &args)
 int
 cmdReport(const Args &args)
 {
-    if (args.has("help")) {
-        std::cout <<
-            "usage: wss report --manifest run.manifest.json [--flags]\n"
-            "\n"
-            "Render one run's provenance manifest and telemetry\n"
-            "artifacts as a self-contained Markdown report (plus a\n"
-            "machine-readable JSON twin): run identity, configuration,\n"
-            "top self-time phases, hottest links over time, per-step\n"
-            "collective breakdown, and a health-check table (artifact\n"
-            "hashes, conservation, telemetry reconciliation).\n"
-            "\n"
-            "  --manifest m.json    manifest to report on (required\n"
-            "                       unless --crash is given)\n"
-            "  --crash crash.json   obs::CrashDump post-mortem to\n"
-            "                       render (reason, event counters,\n"
-            "                       per-thread phase stacks and last\n"
-            "                       flight-recorder events)\n"
-            "  --out report.md      Markdown output path\n"
-            "  --json report.json   also write the JSON twin\n"
-            "  --top-phases 12      rows in the self-time table\n"
-            "  --top-links 10       rows in the hottest-links table\n"
-            "  --crash-events 12    events shown per thread in the\n"
-            "                       post-mortem section\n"
-            "  --saturation 0.95    utilization flagged as saturated\n"
-            "\n"
-            "Exit status 1 when any health check fails.\n";
-        return 0;
-    }
-
     obs::ReportOptions opts;
     opts.manifest_path = args.str("manifest", "");
     opts.crash_path = args.str("crash", "");
@@ -1632,7 +1369,7 @@ cmdReport(const Args &args)
 int
 cmdPlan(const Args &args)
 {
-    const core::DesignSpec spec = specFromArgs(args);
+    const core::DesignSpec spec = specFromArgs(args, 4);
     const auto result = core::RadixSolver(spec).solveMaxPorts();
     const auto &best = result.best;
     if (best.ports == 0)
@@ -1668,50 +1405,220 @@ cmdPlan(const Args &args)
     return 0;
 }
 
+// ---- Flag tables: each flag declared once, shared groups once ----
+
+const Flag kSeed{"seed", kValue, "base seed, a positive integer (default 1)"};
+
+const FlagGroup kDesignFlags{
+    {"substrate", kValue, "substrate side in mm (default 300)"},
+    {"wsi", kValue, "siif | siif2x | infosow (default siif2x)"},
+    {"ext", kValue, "external I/O: serdes | optical | area (default optical)"},
+    {"ssc-config", kValue, "Tomahawk-5 SSC configuration (default 1)"},
+    {"deradix", kValue, "de-radix the SSC by this factor (default 1)"},
+    {"cooling", kValue, "air | water | multiphase | none (default none)"},
+};
+const FlagGroup kSolveFlags{
+    {"topology", kValue, "clos | mesh | butterfly | fb | dragonfly"},
+    {"hetero", kValue, "split each Clos leaf into N dies (default 1)"},
+    {"ideal", kSwitch, "area limit only (the ideal case of Fig. 6)"},
+    {"restarts", kValue, "mapping-search restarts (default 4)"},
+    kSeed,
+};
+const FlagGroup kFabricFlags{
+    {"vcs", kValue, "virtual channels per port (default 16)"},
+    {"buffer", kValue, "flit buffer per port (default 64)"},
+    {"rc-ingress", kValue, "ingress route-compute cycles (default 2)"},
+    {"rc-transit", kValue, "transit route-compute cycles (default 2)"},
+    {"pipeline", kValue, "router pipeline cycles (default 9)"},
+    {"io-delay", kValue, "terminal link latency in cycles (default 8)"},
+    {"hop-delay", kValue, "internal link latency in cycles (default 1)"},
+    {"adaptive", kSwitch, "adaptive instead of random ECMP routing"},
+};
+const FlagGroup kPhaseFlags{
+    {"warmup", kValue, "warm-up cycles (default 1000)"},
+    {"measure", kValue, "measured cycles (default 4000)"},
+    {"drain", kValue, "drain limit in cycles (default 20000)"},
+    kSeed,
+};
+const FlagGroup kRateFlags{
+    {"points", kValue, "offered-load points (default 9)"},
+    {"max-rate", kValue, "highest offered load (default 0.9)"},
+    {"geometric", kSwitch, "geometric spacing from --min-rate"},
+    {"min-rate", kValue, "lowest load with --geometric (default 0.05)"},
+};
+const FlagGroup kCampaignFlags{
+    {"jobs", kValue, "worker threads, 1..4096 (default: WSS_JOBS or all)"},
+    {"csv", kValue, "results as CSV (same bytes at any --jobs)"},
+    {"json", kValue, "results and timing as JSON"},
+};
+const FlagGroup kObsFlags{
+    {"profile", kSwitch, "print the phase self-time table"},
+    {"trace-out", kValue, "Chrome-trace timeline (Perfetto-loadable)"},
+    {"manifest-out", kValue, "provenance manifest (for `wss report`)"},
+    {"flight-recorder", kValue, "per-thread event rings (default 4096)"},
+    {"crash-dump", kValue, "post-mortem JSON on a crash"},
+    {"watchdog", kValue, "abort when a busy worker is silent this many s"},
+    {"progress", kSwitch, "live status line on stderr"},
+};
+
+const FlagGroup kSimFlags{
+    {"ports", kValue, "switch radix (default 512)"},
+    {"pattern", kValue, "traffic pattern (default uniform)"},
+    {"packet-flits", kValue, "flits per packet (default 1)"},
+    {"stats-out", kValue, "router/link counters of one observed run"},
+    {"rate", kValue, "offered load of that run (default --max-rate)"},
+    {"obs-sample", kValue, "its sampling period in cycles (default 0)"},
+};
+const FlagGroup kSweepFlags{
+    {"ports", kValue, "switch radix (default 512)"},
+    {"patterns", kValue, "traffic patterns, one job each (default uniform)"},
+    {"packet-flits", kValue, "flits per packet (default 1)"},
+    {"reps", kValue, "repetitions per pattern (default 1)"},
+};
+const FlagGroup kTraceFlags{
+    {"app", kValue, "mini-app (default lulesh)"},
+    {"ranks", kValue, "ranks (default 512)"},
+    {"iterations", kValue, "iterations (default 8)"},
+    {"period", kValue, "cycles per iteration (default 600)"},
+    {"message-flits", kValue, "base message size in flits (default 8)"},
+    {"duplicate", kValue, "replicate the trace N times (default 1)"},
+    {"out", kValue, "write the trace to this file"},
+    kSeed,
+};
+const FlagGroup kYieldFlags{
+    {"chiplets", kValue, "chiplet sockets (default 96)"},
+    {"die-area", kValue, "die area in mm^2 (default 800)"},
+    {"defects", kValue, "defect density per cm^2 (default 0.1)"},
+    {"bond-yield", kValue, "per-bond success probability (default 0.999)"},
+    {"substrate", kValue, "monolithic wafer side in mm (default 300)"},
+};
+const FlagGroup kResilienceFlags{
+    {"ports", kValue, "switch radices (default 256)"},
+    {"densities", kValue, "defect densities per cm^2 (default 0.1,0.3)"},
+    {"spares", kValue, "spare-SSC counts (default 0,1,2)"},
+    {"ssc-radix", kValue, "sub-switch chiplet radix (default 64)"},
+    {"line-rate", kValue, "SSC line rate in Gbps (default 200)"},
+    {"samples", kValue, "defect maps per cell (default 500)"},
+    {"sim-samples", kValue, "maps also simulated (default 0)"},
+    {"sim-rate", kValue, "offered load of those runs (default 0.9)"},
+    {"packet-flits", kValue, "flits per packet (default 4)"},
+    {"bond-yield", kValue, "per-bond success probability (default 0.999)"},
+    {"test-escape", kValue, "bad dies missed by KGD test (default 0.05)"},
+    {"node-fail", kValue, "SSC field-failure probability (default 0.002)"},
+    {"link-fail", kValue, "link field-failure probability (default 5e-4)"},
+};
+/// The waferscale/conventional pair of `wss dcn` and `wss coll`.
+const FlagGroup kPairFlags{
+    {"ws-ports", kValue, "waferscale radix (default 0: radix solver)"},
+    {"restarts", kValue, "mapping-search restarts (default 2)"},
+    {"conv-ports", kValue, "conventional switch radix (default 64)"},
+    {"conv-ssc-radix", kValue, "its chiplet radix (default 32)"},
+    {"dcn-topology", kValue, "fat-tree | dragonfly (default fat-tree)"},
+    {"profiles", kValue, "profile cache directory"},
+    {"calibrate", kSwitch, "re-calibrate even when --profiles has them"},
+    {"cal-ports", kValue, "cap on the calibration fabric (default 512)"},
+    {"points", kValue, "calibration load points (default 5)"},
+    {"min-rate", kValue, "lowest calibration load (default 0.05)"},
+    {"max-rate", kValue, "highest calibration load (default 0.95)"},
+    {"packet-flits", kValue, "calibration flits per packet (default 4)"},
+};
+const FlagGroup kDcnFlags{
+    {"hosts", kValue, "endpoints to cover (default 1024)"},
+    {"flows", kValue, "flows per cell (default 100000)"},
+    {"workloads", kValue, "websearch | hadoop | fixed | incast list"},
+    {"loads", kValue, "loads, fraction of host bandwidth (default 0.3,0.7)"},
+    {"node-fail", kValue, "per-switch failure probability (default 0)"},
+    {"stats-out", kValue, "first cell's per-link telemetry (CSV)"},
+    {"telemetry-window", kValue, "its window in s (default: run/24)"},
+};
+const FlagGroup kCollFlags{
+    {"ranks", kValue, "ranks, one per host (default 64)"},
+    {"collectives", kValue, "ring | rd | hd | tree | alltoall | rs | ag"},
+    {"payloads", kValue, "per-rank payload bytes (default 1048576)"},
+    {"kill-step", kValue, "kill a switch before step N of each collective"},
+    {"kill-trunk", kSwitch, "kill a trunk instead of a switch"},
+    {"kill-id", kValue, "which switch/trunk dies (default 0)"},
+    {"fabric", kSwitch, "also replay on the waferscale fabric"},
+    {"fabric-payload", kValue, "per-rank bytes of that replay (default 64k)"},
+    {"leaf-split", kValue, "leaf split of the replay fabric (default 1)"},
+    {"stats-out", kValue, "first cell's per-rank per-step telemetry (CSV)"},
+};
+const FlagGroup kPlanFlags{
+    {"plan", kValue, "price an LLM training step: dp=8,tp=4,pp=2,ep=2"},
+    {"params", kValue, "model parameters (default 7e9)"},
+    {"layers", kValue, "layers (default 32)"},
+    {"hidden", kValue, "hidden size (default 4096)"},
+    {"tokens", kValue, "tokens per microbatch (default 4096)"},
+    {"microbatches", kValue, "microbatches (default 8)"},
+    {"moe-layers", kValue, "MoE layers (default 0)"},
+    {"moe-capacity", kValue, "MoE capacity factor (default 1)"},
+};
+const FlagGroup kReportFlags{
+    {"manifest", kValue, "manifest to report on (unless --crash)"},
+    {"crash", kValue, "crash.json post-mortem to render"},
+    {"out", kValue, "Markdown output path (default report.md)"},
+    {"json", kValue, "also write the JSON twin"},
+    {"top-phases", kValue, "rows in the self-time table (default 12)"},
+    {"top-links", kValue, "rows in the hottest-links table (default 10)"},
+    {"crash-events", kValue, "events shown per thread (default 12)"},
+    {"saturation", kValue, "utilization flagged saturated (default 0.95)"},
+};
+
+const std::vector<Command> kCommands{
+    {"solve", "size the maximum-radix switch for a design point",
+     {&kDesignFlags, &kSolveFlags}, cmdSolve},
+    {"sim", "latency-vs-load sweep on a waferscale Clos fabric",
+     {&kSimFlags, &kRateFlags, &kFabricFlags, &kPhaseFlags, &kObsFlags},
+     cmdSim},
+    {"sweep", "parallel multi-pattern sweep campaign",
+     {&kSweepFlags, &kRateFlags, &kFabricFlags, &kPhaseFlags,
+      &kCampaignFlags, &kObsFlags},
+     cmdSweep},
+    {"trace", "generate (and save) a synthetic mini-app message trace",
+     {&kTraceFlags}, cmdTrace},
+    {"yield", "manufacturing-yield analysis for a chiplet assembly",
+     {&kYieldFlags}, cmdYield},
+    {"resilience", "Monte-Carlo defect/spare/degraded-mode campaign",
+     {&kResilienceFlags, &kFabricFlags, &kPhaseFlags, &kCampaignFlags,
+      &kObsFlags},
+     cmdResilience},
+    {"dcn", "flow-level DCN comparison, waferscale vs conventional",
+     {&kDcnFlags, &kDesignFlags, &kPairFlags, &kFabricFlags, &kPhaseFlags,
+      &kCampaignFlags, &kObsFlags},
+     cmdDcn},
+    {"coll", "collectives on waferscale vs conventional vs alpha-beta",
+     {&kCollFlags, &kPlanFlags, &kDesignFlags, &kPairFlags, &kFabricFlags,
+      &kPhaseFlags, &kCampaignFlags, &kObsFlags},
+     cmdColl},
+    {"report", "Markdown report of a run; exit 1 when a health check fails",
+     {&kReportFlags}, cmdReport},
+    {"plan", "full system plan (power delivery / cooling / enclosure)",
+     {&kDesignFlags, &kSolveFlags}, cmdPlan},
+};
+
 void
 usage()
 {
-    std::cout <<
-        "usage: wss <subcommand> [--flags]\n"
-        "\n"
-        "  solve   --substrate 300 --wsi siif2x --ext optical\n"
-        "          --topology clos --cooling water --hetero 4\n"
-        "          --deradix 1 --ssc-config 1 [--ideal]\n"
-        "  sim     --ports 512 --pattern uniform --packet-flits 1\n"
-        "          --vcs 16 --buffer 64 [--adaptive]\n"
-        "          [--stats-out stats.csv --rate 0.7 --obs-sample 100]\n"
-        "  sweep   --jobs 8 --patterns uniform,tornado,shuffle\n"
-        "          --points 9 --max-rate 0.9 [--geometric\n"
-        "          --min-rate 0.05] --reps 1 (sim flags)\n"
-        "          [--csv out.csv --json out.json --trace-out run.json]\n"
-        "  trace   --app lulesh --ranks 512 --duplicate 4 --out t.trc\n"
-        "  yield   --chiplets 96 --die-area 800 --defects 0.1\n"
-        "  resilience  --ports 256,512 --densities 0.1,0.3\n"
-        "          --spares 0,1,2 --samples 500 [--sim-samples 4]\n"
-        "          --jobs 8 [--csv out.csv --json out.json\n"
-        "          --trace-out run.json]\n"
-        "          (run `wss resilience --help` for all flags)\n"
-        "  dcn     --hosts 1024 --flows 100000 --loads 0.3,0.7\n"
-        "          --workloads websearch,hadoop --dcn-topology\n"
-        "          fat-tree --jobs 8 [--calibrate --profiles dir]\n"
-        "          [--csv out.csv --json out.json]\n"
-        "          (run `wss dcn --help` for all flags)\n"
-        "  coll    --ranks 64 --collectives ring,hd,tree,alltoall\n"
-        "          --payloads 1048576 [--fabric]\n"
-        "          [--plan dp=8,tp=4,pp=2,ep=2] --jobs 8\n"
-        "          [--csv out.csv --json out.json]\n"
-        "          (run `wss coll --help` for all flags)\n"
-        "  report  --manifest run.manifest.json --out report.md\n"
-        "          [--json report.json --crash crash.json]\n"
-        "          (run `wss report --help` for all flags)\n"
-        "  plan    (solve flags) -> power delivery/cooling/enclosure\n"
-        "\n"
-        "Most subcommands also take --profile (phase self-time table)\n"
-        "and --manifest-out m.json (provenance manifest, the input to\n"
-        "`wss report`). Campaign-shaped subcommands (sim, sweep,\n"
-        "resilience, dcn, coll) additionally take the observability\n"
-        "flags --flight-recorder [N], --crash-dump crash.json,\n"
-        "--watchdog SECONDS and --progress.\n";
+    std::cout << "usage: wss <subcommand> [--flags]\n\n";
+    for (const Command &cmd : kCommands)
+        std::cout << "  " << std::left << std::setw(11) << cmd.name << " "
+                  << cmd.summary << "\n";
+    std::cout << "\nRun `wss <subcommand> --help` for its flags.\n";
+}
+
+void
+help(const Command &cmd)
+{
+    std::cout << "usage: wss " << cmd.name << " [--flags]\n\n"
+              << cmd.summary << "\n";
+    for (const FlagGroup *group : cmd.groups) {
+        std::cout << "\n";
+        for (const Flag &flag : *group)
+            std::cout << "  --" << std::left << std::setw(18)
+                      << std::string(flag.name) +
+                             (flag.takes_value ? " V" : "")
+                      << " " << flag.help << "\n";
+    }
 }
 
 } // namespace
@@ -1719,32 +1626,17 @@ usage()
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        usage();
-        return 1;
+    const std::string name = argc < 2 ? "" : argv[1];
+    for (const Command &cmd : kCommands) {
+        if (name != cmd.name)
+            continue;
+        const Args args(argc, argv, cmd);
+        if (args.has("help")) {
+            help(cmd);
+            return 0;
+        }
+        return cmd.run(args);
     }
-    const std::string cmd = argv[1];
-    const Args args(argc, argv, 2);
-    if (cmd == "solve")
-        return cmdSolve(args);
-    if (cmd == "sim")
-        return cmdSim(args);
-    if (cmd == "sweep")
-        return cmdSweep(args);
-    if (cmd == "trace")
-        return cmdTrace(args);
-    if (cmd == "yield")
-        return cmdYield(args);
-    if (cmd == "resilience")
-        return cmdResilience(args);
-    if (cmd == "dcn")
-        return cmdDcn(args);
-    if (cmd == "coll")
-        return cmdColl(args);
-    if (cmd == "report")
-        return cmdReport(args);
-    if (cmd == "plan")
-        return cmdPlan(args);
     usage();
-    return cmd == "help" || cmd == "--help" ? 0 : 1;
+    return name == "help" || name == "--help" ? 0 : 1;
 }
