@@ -11,7 +11,7 @@
  * 200 ns-class links need.
  *
  * All 24 (buffer x delay) cells run as one exec::Campaign on a
- * work-stealing pool (WSS_JOBS threads); per-cell timing lands in
+ * plain shared-queue pool (WSS_JOBS threads); per-cell timing lands in
  * WSS_BENCH_CSV / WSS_BENCH_JSON when set.
  */
 

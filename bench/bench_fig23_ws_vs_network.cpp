@@ -11,7 +11,7 @@
  * links, 8-cycle host I/O on both, 16 VCs, 32-flit buffers.
  *
  * The ten (pattern x fabric) sweeps run as one exec::Campaign on a
- * work-stealing pool (WSS_JOBS threads), so every core chews on a
+ * plain shared-queue pool (WSS_JOBS threads), so every core chews on a
  * different curve; per-cell timing lands in WSS_BENCH_CSV /
  * WSS_BENCH_JSON when set. Results are bit-identical to the old
  * serial loop.

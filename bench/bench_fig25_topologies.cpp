@@ -6,8 +6,8 @@
  * design where applicable).
  *
  * The 15 (topology x variant) solver calls are independent, so they
- * run as generic tasks of one exec::Campaign on a work-stealing
- * pool (WSS_JOBS threads); each task writes its cell of a
+ * run as generic tasks of one exec::Campaign on a plain
+ * shared-queue pool (WSS_JOBS threads); each task writes its cell of a
  * preallocated result grid — no locks. Per-task timing lands in
  * WSS_BENCH_CSV / WSS_BENCH_JSON when set.
  */

@@ -170,6 +170,10 @@ executeOnDcn(const Schedule &schedule, double payload_bytes,
               " hosts but the topology has ", topo.hostCount());
 
     obs::ScopedPhase exec_phase(cfg.profiler, "coll-dcn");
+    // Step spans and fault instants are in simulated time: they get
+    // their own track, never a campaign worker's wall-clock one.
+    const int trace_tid =
+        cfg.trace ? cfg.trace->allocateTrack(cfg.trace_label) : 0;
 
     double seconds = 0.0;
     double bytes_on_wire = 0.0;
@@ -199,7 +203,7 @@ executeOnDcn(const Schedule &schedule, double payload_bytes,
             if (cfg.trace)
                 cfg.trace->instant(
                     cfg.fault.kill_switch ? "switch down" : "trunk down",
-                    "fault", cfg.trace_tid,
+                    "fault", trace_tid,
                     static_cast<std::int64_t>(seconds * 1e6),
                     {obs::TraceArg::num(
                         "id", static_cast<std::int64_t>(cfg.fault.id))});
@@ -238,7 +242,7 @@ executeOnDcn(const Schedule &schedule, double payload_bytes,
         if (cfg.trace)
             cfg.trace->complete(
                 "step " + std::to_string(step), cfg.trace_label,
-                cfg.trace_tid, static_cast<std::int64_t>(seconds * 1e6),
+                trace_tid, static_cast<std::int64_t>(seconds * 1e6),
                 static_cast<std::int64_t>(step_seconds * 1e6),
                 {obs::TraceArg::num(
                      "messages",
@@ -356,7 +360,8 @@ executeOnFabric(const Schedule &schedule, double payload_bytes,
     countCollective(cfg, schedule, bytes_on_wire);
     if (cfg.trace)
         cfg.trace->complete(
-            schedule.name(), cfg.trace_label, cfg.trace_tid, 0,
+            schedule.name(), cfg.trace_label,
+            cfg.trace->allocateTrack(cfg.trace_label), 0,
             static_cast<std::int64_t>(
                 static_cast<double>(r.end_cycle) * cycle_seconds * 1e6),
             {obs::TraceArg::num("cycles", static_cast<std::int64_t>(

@@ -127,9 +127,9 @@ struct CollExecConfig
 {
     /// coll.steps / coll.messages / coll.bytes counters land here.
     obs::MetricsRegistry *metrics = nullptr;
-    /// One span per collective step (simulated microseconds).
+    /// One span per collective step (simulated microseconds), on
+    /// the trace track named trace_label.
     obs::TraceEventSink *trace = nullptr;
-    int trace_tid = 0;
     std::string trace_label = "coll";
     CollFaultSpec fault;
     /// Collect CollExecResult::telemetry in executeOnDcn; with

@@ -1,8 +1,10 @@
 #include "exec/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <string_view>
@@ -27,24 +29,64 @@ elapsedSeconds(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/// Finalize a job's rep-major outcome grid into per-repetition
+/// curves plus the combined curve.
+SweepRunOutput
+finalizeSweepRun(const SweepJob &job, std::vector<PointOutcome> outcomes,
+                 double wall_seconds)
+{
+    const auto rates = job.rates.size();
+
+    SweepRunOutput out;
+    out.wall_seconds = wall_seconds;
+    out.outcomes = std::move(outcomes);
+
+    out.reps.reserve(static_cast<std::size_t>(job.repetitions));
+    for (int rep = 0; rep < job.repetitions; ++rep) {
+        std::vector<sim::LoadPoint> points(rates);
+        for (std::size_t i = 0; i < rates; ++i)
+            points[i] =
+                out.outcomes[static_cast<std::size_t>(rep) * rates + i]
+                    .point;
+        out.reps.push_back(sim::finalizeSweep(std::move(points)));
+    }
+
+    if (job.repetitions == 1) {
+        out.combined = out.reps.front();
+        return out;
+    }
+
+    // Average each rate's point across repetitions; a point is
+    // stable only when every repetition's run was.
+    std::vector<sim::LoadPoint> combined(rates);
+    for (std::size_t i = 0; i < rates; ++i) {
+        StatsAccumulator offered, accepted, avg, p99;
+        bool stable = true;
+        for (const auto &rep : out.reps) {
+            const auto &p = rep.points[i];
+            offered.add(p.offered);
+            accepted.add(p.accepted);
+            avg.add(p.avg_latency);
+            p99.add(p.p99_latency);
+            stable = stable && p.stable;
+        }
+        combined[i].offered = offered.mean();
+        combined[i].accepted = accepted.mean();
+        combined[i].avg_latency = avg.mean();
+        combined[i].p99_latency = p99.mean();
+        combined[i].stable = stable;
+    }
+    out.combined = sim::finalizeSweep(std::move(combined));
+    return out;
+}
+
 } // namespace
 
 int
 Campaign::addSweep(std::string name, SweepJob job)
 {
-    if (job.rates.empty())
-        fatal("Campaign: sweep '", name, "' needs at least one rate");
-    if (job.repetitions < 1)
-        fatal("Campaign: sweep '", name,
-              "' needs at least one repetition");
-    if (!job.make_network || !job.make_workload)
-        fatal("Campaign: sweep '", name, "' needs factories");
-    Entry entry;
-    entry.name = std::move(name);
-    entry.is_sweep = true;
-    entry.sweep = std::move(job);
-    entries_.push_back(std::move(entry));
-    return static_cast<int>(entries_.size()) - 1;
+    entries_.push_back({std::move(name), SweepRunner(std::move(job)), {}});
+    return jobCount() - 1;
 }
 
 int
@@ -52,12 +94,8 @@ Campaign::addTask(std::string name, std::function<void()> fn)
 {
     if (!fn)
         fatal("Campaign: task '", name, "' needs a callable");
-    Entry entry;
-    entry.name = std::move(name);
-    entry.is_sweep = false;
-    entry.fn = std::move(fn);
-    entries_.push_back(std::move(entry));
-    return static_cast<int>(entries_.size()) - 1;
+    entries_.push_back({std::move(name), std::nullopt, std::move(fn)});
+    return jobCount() - 1;
 }
 
 CampaignResult
@@ -67,7 +105,8 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
     const auto start = std::chrono::steady_clock::now();
 
     // Flatten every job into cells: one per (repetition, rate) for
-    // sweeps, one per generic task.
+    // sweeps (rep-major), one per generic task. A job's cells are
+    // contiguous.
     struct Cell
     {
         int job = 0;
@@ -77,37 +116,25 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
     std::vector<Cell> cells;
     for (int j = 0; j < jobCount(); ++j) {
         const Entry &entry = entries_[static_cast<std::size_t>(j)];
-        if (!entry.is_sweep) {
+        if (!entry.sweep) {
             cells.push_back({j, 0, 0});
             continue;
         }
-        for (int rep = 0; rep < entry.sweep.repetitions; ++rep)
-            for (int ri = 0;
-                 ri < static_cast<int>(entry.sweep.rates.size()); ++ri)
+        const SweepJob &job = entry.sweep->job();
+        for (int rep = 0; rep < job.repetitions; ++rep)
+            for (int ri = 0; ri < static_cast<int>(job.rates.size()); ++ri)
                 cells.push_back({j, rep, ri});
     }
 
-    // Slots keyed by cell index (each written exactly once) and
-    // per-worker timing buffers: slot pool->size() is the calling
-    // thread, so nothing on the execution path takes a lock.
+    // Slots keyed by cell index, each written exactly once, and
+    // per-worker profilers (slot pool->size() is the calling
+    // thread), so nothing on the execution path takes a lock.
     std::vector<PointOutcome> outcomes(cells.size());
-    const int buffers = pool ? pool->size() + 1 : 1;
-    struct WorkerBuffer
-    {
-        std::vector<StatsAccumulator> cell_seconds;
-        std::vector<QuantileSampler> cell_seconds_q;
-    };
-    std::vector<WorkerBuffer> per_worker(
-        static_cast<std::size_t>(buffers));
-    for (auto &buffer : per_worker) {
-        buffer.cell_seconds.resize(entries_.size());
-        buffer.cell_seconds_q.resize(entries_.size());
-    }
-
+    std::vector<obs::Profiler> worker_prof(
+        profiler ? static_cast<std::size_t>(pool ? pool->size() + 1 : 1)
+                 : 0);
     // One profiler phase per job; job names may contain '/' (which
     // the profiler reserves for nesting), so sanitize them once.
-    std::vector<obs::Profiler> worker_prof(
-        profiler ? static_cast<std::size_t>(buffers) : 0);
     std::vector<std::string> phase_names;
     if (profiler) {
         phase_names.reserve(entries_.size());
@@ -129,67 +156,55 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
         const Cell &cell = cells[static_cast<std::size_t>(index)];
         const Entry &entry =
             entries_[static_cast<std::size_t>(cell.job)];
-        const int prof_slot = pool ? pool->workerSlot() : 0;
+        const int slot = pool ? pool->workerSlot() : 0;
+        const double rate =
+            entry.sweep ? entry.sweep->job().rates.at(
+                              static_cast<std::size_t>(cell.rate_index))
+                        : 0.0;
         std::string detail = entry.name;
-        if (entry.is_sweep) {
+        if (entry.sweep) {
             char point[48];
             std::snprintf(point, sizeof point, " rep %d rate %.3g",
-                          cell.repetition,
-                          entry.sweep.rates[static_cast<std::size_t>(
-                              cell.rate_index)]);
+                          cell.repetition, rate);
             detail += point;
         }
-        const obs::WorkerScope liveness(workerLabel(pool, prof_slot),
-                                        detail);
+        const obs::WorkerScope liveness(workerLabel(pool, slot), detail);
         obs::recordEvent(obs::EventKind::JobStart, index, cell.job,
                          entry.name);
         obs::ScopedPhase cell_phase(
-            profiler
-                ? &worker_prof[static_cast<std::size_t>(prof_slot)]
-                : nullptr,
+            profiler ? &worker_prof[static_cast<std::size_t>(slot)]
+                     : nullptr,
             profiler ? phase_names[static_cast<std::size_t>(cell.job)]
                      : std::string_view());
         const std::int64_t ts = trace ? trace->nowMicros() : 0;
-        PointOutcome outcome;
-        if (entry.is_sweep) {
-            outcome = SweepRunner(entry.sweep)
-                          .runPoint(cell.repetition, cell.rate_index);
+        PointOutcome &outcome = outcomes[static_cast<std::size_t>(index)];
+        if (entry.sweep) {
+            outcome = entry.sweep->runPoint(cell.repetition,
+                                            cell.rate_index);
         } else {
             const auto cell_start = std::chrono::steady_clock::now();
             entry.fn();
             outcome.seconds = elapsedSeconds(cell_start);
         }
-        outcomes[static_cast<std::size_t>(index)] = outcome;
 
-        const int slot = pool ? pool->workerSlot() : 0;
         if (trace) {
             std::vector<obs::TraceArg> args;
             args.push_back(obs::TraceArg::str("job", entry.name));
             args.push_back(obs::TraceArg::str(
-                "kind", entry.is_sweep ? "sweep" : "task"));
-            if (entry.is_sweep) {
+                "kind", entry.sweep ? "sweep" : "task"));
+            if (entry.sweep) {
                 args.push_back(obs::TraceArg::num(
                     "repetition",
                     static_cast<std::int64_t>(cell.repetition)));
                 args.push_back(obs::TraceArg::num(
                     "rate_index",
                     static_cast<std::int64_t>(cell.rate_index)));
-                args.push_back(obs::TraceArg::num(
-                    "rate", entry.sweep.rates[static_cast<std::size_t>(
-                                cell.rate_index)]));
+                args.push_back(obs::TraceArg::num("rate", rate));
             }
-            trace->complete(entry.name,
-                            entry.is_sweep ? "sweep" : "task", slot,
-                            ts, trace->nowMicros() - ts,
+            trace->complete(entry.name, entry.sweep ? "sweep" : "task",
+                            slot, ts, trace->nowMicros() - ts,
                             std::move(args));
         }
-
-        auto &buffer =
-            per_worker[static_cast<std::size_t>(slot)];
-        buffer.cell_seconds[static_cast<std::size_t>(cell.job)].add(
-            outcome.seconds);
-        buffer.cell_seconds_q[static_cast<std::size_t>(cell.job)].add(
-            outcome.seconds);
 
         obs::recordEvent(obs::EventKind::JobFinish, index, cell.job,
                          entry.name);
@@ -203,7 +218,8 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
              i < static_cast<std::int64_t>(cells.size()); ++i)
             runCell(i);
 
-    // Barrier passed: merge the per-worker buffers and finalize.
+    // Barrier passed: merge the profilers and summarize each job
+    // from its contiguous run of cell slots.
     if (profiler)
         for (const obs::Profiler &wp : worker_prof)
             profiler->merge(wp, "campaign");
@@ -218,45 +234,36 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
     result.threads = pool ? pool->size() : 1;
     result.jobs.resize(entries_.size());
 
-    std::vector<std::size_t> cursor(entries_.size());
-    std::vector<std::vector<PointOutcome>> per_job(entries_.size());
-    for (int j = 0; j < jobCount(); ++j) {
-        const Entry &entry = entries_[static_cast<std::size_t>(j)];
-        if (entry.is_sweep)
-            per_job[static_cast<std::size_t>(j)].resize(
-                static_cast<std::size_t>(entry.sweep.repetitions) *
-                entry.sweep.rates.size());
-    }
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const auto j = static_cast<std::size_t>(cells[i].job);
-        if (entries_[j].is_sweep)
-            per_job[j][cursor[j]++] = outcomes[i];
-    }
-
-    for (int j = 0; j < jobCount(); ++j) {
-        const auto ji = static_cast<std::size_t>(j);
-        const Entry &entry = entries_[ji];
-        CampaignJobResult &job_result = result.jobs[ji];
+    auto first = outcomes.begin();
+    for (std::size_t j = 0; j < entries_.size(); ++j) {
+        const Entry &entry = entries_[j];
+        CampaignJobResult &job_result = result.jobs[j];
         job_result.name = entry.name;
-        job_result.kind = entry.is_sweep ? "sweep" : "task";
+        job_result.kind = entry.sweep ? "sweep" : "task";
+        const SweepJob *job = entry.sweep ? &entry.sweep->job() : nullptr;
+        job_result.cells =
+            job ? job->repetitions * static_cast<int>(job->rates.size())
+                : 1;
+        const auto last = first + job_result.cells;
 
-        StatsAccumulator seconds;
-        QuantileSampler seconds_q;
-        for (const auto &buffer : per_worker) {
-            seconds.merge(buffer.cell_seconds[ji]);
-            seconds_q.merge(buffer.cell_seconds_q[ji]);
+        QuantileSampler seconds;
+        for (auto it = first; it != last; ++it) {
+            seconds.add(it->seconds);
+            job_result.seconds += it->seconds;
+            job_result.max_cell_seconds =
+                std::max(job_result.max_cell_seconds, it->seconds);
         }
-        job_result.cells = static_cast<int>(seconds.count());
-        job_result.seconds =
-            seconds.mean() * static_cast<double>(seconds.count());
-        job_result.mean_cell_seconds = seconds.mean();
-        job_result.max_cell_seconds = seconds.max();
-        job_result.p95_cell_seconds =
-            seconds_q.empty() ? 0.0 : seconds_q.quantile(0.95);
+        job_result.mean_cell_seconds =
+            job_result.seconds / static_cast<double>(job_result.cells);
+        job_result.p95_cell_seconds = seconds.quantile(0.95);
 
-        if (entry.is_sweep)
+        if (job)
             job_result.sweep = finalizeSweepRun(
-                entry.sweep, std::move(per_job[ji]), job_result.seconds);
+                *job,
+                std::vector<PointOutcome>(std::make_move_iterator(first),
+                                          std::make_move_iterator(last)),
+                job_result.seconds);
+        first = last;
     }
     return result;
 }

@@ -7,10 +7,11 @@
  * generic timed tasks (e.g. radix-solver design points) in a single
  * invocation. All cells of all jobs are flattened into one
  * parallelFor, so a short job cannot leave the pool idle while a
- * long one finishes. Results land in slots keyed by cell index and
- * per-cell timing is recorded in *per-worker* buffers — no mutex on
- * the hot path — which are merged (StatsAccumulator::merge /
- * QuantileSampler::merge) once the barrier has passed.
+ * long one finishes. Each cell writes its result and its seconds to
+ * its own slot, keyed by cell index, so nothing on the execution
+ * path takes a lock; per-job timing is summarized from those slots,
+ * in cell order, once the barrier has passed. This is the only loop
+ * that schedules cells: SweepRunner::run is a one-job campaign.
  *
  * CampaignResult carries wall-clock and per-job timing and can emit
  * itself as CSV (one row per cell) or JSON (nested per-job summary)
@@ -22,6 +23,7 @@
 
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,8 +46,7 @@ struct CampaignJobResult
     /// concurrently, so this exceeds the campaign wall-clock; it is
     /// the job's serial-equivalent cost.
     double seconds = 0.0;
-    /// Distribution of per-cell seconds (merged from the per-worker
-    /// accumulators at the barrier).
+    /// Distribution of per-cell seconds.
     double mean_cell_seconds = 0.0;
     double max_cell_seconds = 0.0;
     double p95_cell_seconds = 0.0;
@@ -80,7 +81,8 @@ struct CampaignResult
 class Campaign
 {
   public:
-    /// Add a load-sweep job; returns its job index.
+    /// Add a load-sweep job (checked by the SweepRunner
+    /// constructor); returns its job index.
     int addSweep(std::string name, SweepJob job);
 
     /// Add a generic timed task (runs once); returns its job index.
@@ -97,7 +99,9 @@ class Campaign
      * deterministic in content at any pool size. @p profiler, when
      * given, accumulates one "campaign/<job>" phase per cell (job
      * names are '/'-sanitized): workers time into per-worker
-     * profilers merged into @p profiler after the barrier.
+     * profilers merged into @p profiler after the barrier. The
+     * cells also drive the flight recorder (JobStart/JobFinish, a
+     * WorkerScope naming the cell) and the watchdog's progress.
      */
     CampaignResult run(ThreadPool *pool = nullptr,
                        obs::TraceEventSink *trace = nullptr,
@@ -107,8 +111,8 @@ class Campaign
     struct Entry
     {
         std::string name;
-        bool is_sweep = false;
-        SweepJob sweep;
+        /// Set for sweep jobs; generic tasks run fn instead.
+        std::optional<SweepRunner> sweep;
         std::function<void()> fn;
     };
 

@@ -3,7 +3,8 @@
  * Deterministic parallel load sweeps.
  *
  * SweepRunner fans the (repetition x rate) grid of a load sweep out
- * across a ThreadPool. Determinism is by construction: every run's
+ * across a ThreadPool, as a one-job Campaign named "sweep".
+ * Determinism is by construction: every run's
  * RNG seed is derived from the base seed and the *repetition index*
  * alone (deriveSeed, a splitmix64 finalizer in the spirit of
  * Rng::split), each point executes through the exact serial code
@@ -91,19 +92,15 @@ class SweepRunner
   public:
     explicit SweepRunner(SweepJob job);
 
-    /// Execute every (repetition, rate) cell. @p pool nullptr runs
-    /// serially in the calling thread. @p trace, when given, records
-    /// one span per cell on per-worker tracks (args: repetition,
-    /// rate_index, rate) — the span *content* is deterministic at any
-    /// pool size, only timestamps and track assignment vary.
-    /// @p profiler, when given, accumulates one "sweep/point" phase
-    /// per cell: workers time into per-worker profilers (no lock on
-    /// the hot path) that merge into @p profiler after the barrier.
+    /// Execute every (repetition, rate) cell through
+    /// Campaign::run (which documents @p pool, @p trace and
+    /// @p profiler; cells profile as "campaign/sweep").
+    /// wall_seconds is the whole sweep's wall clock.
     SweepRunOutput run(ThreadPool *pool = nullptr,
                        obs::TraceEventSink *trace = nullptr,
                        obs::Profiler *profiler = nullptr) const;
 
-    /// Execute a single cell (the unit the pool schedules).
+    /// Execute a single cell (the unit Campaign schedules).
     PointOutcome runPoint(int repetition, int rate_index) const;
 
     const SweepJob &job() const { return job_; }
@@ -111,15 +108,6 @@ class SweepRunner
   private:
     SweepJob job_;
 };
-
-/**
- * Finalize a complete rep-major outcome grid into per-repetition
- * curves plus the combined curve. Shared by SweepRunner and
- * Campaign (which schedules cells across jobs itself).
- */
-SweepRunOutput finalizeSweepRun(const SweepJob &job,
-                                std::vector<PointOutcome> outcomes,
-                                double wall_seconds);
 
 } // namespace wss::exec
 

@@ -1,9 +1,11 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "util/logging.hpp"
 
@@ -21,9 +23,6 @@ ThreadPool::ThreadPool(int threads)
 {
     if (threads <= 0)
         threads = defaultThreads();
-    queues_.reserve(threads);
-    for (int i = 0; i < threads; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(threads);
     for (int i = 0; i < threads; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
@@ -32,10 +31,10 @@ ThreadPool::ThreadPool(int threads)
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-        stop_.store(true, std::memory_order_release);
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
     }
-    wake_cv_.notify_all();
+    wake_.notify_all();
     for (auto &worker : workers_)
         worker.join();
 }
@@ -82,77 +81,22 @@ ThreadPool::defaultThreads()
 }
 
 void
-ThreadPool::enqueue(UniqueTask task)
-{
-    // Workers push to their own deque (popped LIFO for locality);
-    // external threads scatter round-robin.
-    const int self = workerSlot();
-    const auto target =
-        self < size()
-            ? static_cast<std::size_t>(self)
-            : next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                  queues_.size();
-    {
-        std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-        queues_[target]->tasks.push_back(std::move(task));
-    }
-    pending_.fetch_add(1, std::memory_order_release);
-    // Empty critical section: pairs with the wait predicate so a
-    // sleeping worker cannot miss the increment.
-    { std::lock_guard<std::mutex> lock(wake_mutex_); }
-    wake_cv_.notify_one();
-}
-
-bool
-ThreadPool::tryRunOne(int self)
-{
-    UniqueTask task;
-    if (self >= 0) {
-        auto &own = *queues_[self];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            task = std::move(own.tasks.back());
-            own.tasks.pop_back();
-        }
-    }
-    if (!task) {
-        // Steal from the FIFO end of the siblings' deques, scanning
-        // from the neighbour so thieves spread out.
-        const int n = static_cast<int>(queues_.size());
-        const int base = self >= 0 ? self : 0;
-        for (int i = self >= 0 ? 1 : 0; i < n + 1 && !task; ++i) {
-            auto &victim = *queues_[(base + i) % n];
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (!victim.tasks.empty()) {
-                task = std::move(victim.tasks.front());
-                victim.tasks.pop_front();
-            }
-        }
-    }
-    if (!task)
-        return false;
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    task();
-    return true;
-}
-
-void
 ThreadPool::workerLoop(int id)
 {
     tl_pool = this;
     tl_slot = id;
-    while (!stop_.load(std::memory_order_acquire)) {
-        if (tryRunOne(id))
-            continue;
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        wake_cv_.wait(lock, [this] {
-            return stop_.load(std::memory_order_acquire) ||
-                   pending_.load(std::memory_order_acquire) > 0;
-        });
-    }
-    // Drain what is still queued so pending futures are fulfilled
-    // even when the pool is torn down right after submission.
-    while (tryRunOne(id)) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+        // Stop only once the queue is drained.
+        if (queue_.empty())
+            return;
+        std::function<void()> task = std::move(queue_.front());
+        queue_.pop_front();
+        lock.unlock();
+        task();
+        task = nullptr; // drop the loop state outside the lock
+        lock.lock();
     }
 }
 
@@ -212,8 +156,14 @@ ThreadPool::parallelFor(std::int64_t n,
     // 1-thread pool therefore runs the loop serially in the caller.
     const auto helpers =
         std::min<std::int64_t>(size() - 1, n - 1);
-    for (std::int64_t t = 0; t < helpers; ++t)
-        enqueue(UniqueTask(work));
+    if (helpers > 0) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            queue_.insert(queue_.end(), static_cast<std::size_t>(helpers),
+                          work);
+        }
+        wake_.notify_all();
+    }
     work();
 
     std::unique_lock<std::mutex> lock(state->mutex);

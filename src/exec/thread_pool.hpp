@@ -1,15 +1,16 @@
 /**
  * @file
- * Work-stealing thread pool for fanning out independent experiment
- * runs (sweep points, solver calls, mapping restarts) across cores.
+ * Plain thread pool for fanning out independent experiment cells
+ * (sweep points, solver calls, DCN and collective cells) across
+ * cores.
  *
- * Each worker owns a deque: it pushes and pops its own work LIFO
- * (cache locality) and steals FIFO from the oldest end of its
- * siblings' deques when idle — the classic work-stealing split.
- * parallelFor() runs on exactly size() execution lanes: size() - 1
- * stolen by workers plus the *calling* thread, which participates
- * instead of blocking idle — so a 1-thread pool is truly serial and
- * nested calls from inside a worker cannot deadlock.
+ * The pool owns size() helper threads that sleep on one
+ * mutex-guarded queue of closures. parallelFor() is the only way in:
+ * it queues size() - 1 helper closures and runs the loop in the
+ * calling thread too, every lane claiming indices from one atomic
+ * counter. The caller participates instead of blocking idle, so a
+ * 1-thread pool is truly serial and nested calls from inside a
+ * worker cannot deadlock.
  *
  * Sizing: ThreadPool(0) uses defaultThreads(), which honours the
  * WSS_JOBS environment variable and otherwise takes
@@ -19,66 +20,20 @@
 #ifndef WSS_EXEC_THREAD_POOL_HPP
 #define WSS_EXEC_THREAD_POOL_HPP
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace wss::exec {
 
 /**
- * Move-only type-erased nullary callable. std::function requires
- * copyable targets, which rules out lambdas that capture a
- * std::packaged_task — hence this little wrapper.
- */
-class UniqueTask
-{
-  public:
-    UniqueTask() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, UniqueTask>>>
-    explicit UniqueTask(F &&fn)
-        : impl_(std::make_unique<Model<std::decay_t<F>>>(
-              std::forward<F>(fn)))
-    {
-    }
-
-    explicit operator bool() const { return impl_ != nullptr; }
-    void operator()() { impl_->run(); }
-
-  private:
-    struct Concept
-    {
-        virtual ~Concept() = default;
-        virtual void run() = 0;
-    };
-
-    template <typename F>
-    struct Model final : Concept
-    {
-        explicit Model(F &&fn) : fn(std::move(fn)) {}
-        explicit Model(const F &fn) : fn(fn) {}
-        void run() override { fn(); }
-        F fn;
-    };
-
-    std::unique_ptr<Concept> impl_;
-};
-
-/**
- * The pool. Tasks must not outlive the pool; the destructor stops
- * the workers after draining whatever is still queued.
+ * The pool. The destructor runs whatever is still queued, then stops
+ * and joins the workers.
  */
 class ThreadPool
 {
@@ -105,18 +60,6 @@ class ThreadPool
     /// WSS_JOBS override, else hardware_concurrency(), min 1.
     static int defaultThreads();
 
-    /// Queue @p fn and get a future for its result.
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        std::packaged_task<R()> task(std::forward<F>(fn));
-        auto future = task.get_future();
-        enqueue(UniqueTask(std::move(task)));
-        return future;
-    }
-
     /**
      * Run body(i) for every i in [0, n), spread over size()
      * execution lanes (workers + the calling thread), and return
@@ -129,23 +72,15 @@ class ThreadPool
                      const std::function<void(std::int64_t)> &body);
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<UniqueTask> tasks;
-    };
-
-    void enqueue(UniqueTask task);
-    bool tryRunOne(int self);
     void workerLoop(int id);
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
+    // queue_ and stop_ are guarded by mutex_. workers_ comes last:
+    // the threads use every member above it.
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    std::deque<std::function<void()>> queue_;
+    bool stop_ = false;
     std::vector<std::thread> workers_;
-    std::atomic<std::uint64_t> next_queue_{0};
-    std::atomic<std::int64_t> pending_{0};
-    std::mutex wake_mutex_;
-    std::condition_variable wake_cv_;
-    std::atomic<bool> stop_{false};
 };
 
 /**

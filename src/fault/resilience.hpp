@@ -14,8 +14,8 @@
  * of each cell are also *simulated* — packet-level saturation
  * throughput of the degraded fabric versus the healthy one.
  *
- * Execution rides the PR-1 engine: one exec::Campaign task per cell
- * on a work-stealing pool, results landing in preallocated slots,
+ * Execution rides src/exec: one exec::Campaign task per cell on a
+ * plain shared-queue pool, results landing in preallocated slots,
  * and every random draw keyed by (seed, indices) through
  * util/seed.hpp — so the emitted CSV is bit-identical at any
  * --jobs value.

@@ -219,6 +219,10 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
             "flow.slowdown",
             {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
     }
+    // The run span and fault instants are in simulated time, so they
+    // get their own track, never a campaign worker's wall-clock one.
+    const int trace_tid =
+        cfg.trace ? cfg.trace->allocateTrack(cfg.trace_label) : 0;
 
     StatsAccumulator fct_acc, slow_acc, hops_acc;
     QuantileSampler fct_q, slow_q;
@@ -377,7 +381,7 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
         }
         if (cfg.trace)
             cfg.trace->instant(
-                label, "fault", cfg.trace_tid,
+                label, "fault", trace_tid,
                 static_cast<std::int64_t>(ev.at_s * 1e6),
                 {obs::TraceArg::num(
                     "id", static_cast<std::int64_t>(ev.id))});
@@ -631,7 +635,7 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
 
     if (cfg.trace) {
         cfg.trace->complete(
-            cfg.trace_label, "flow", cfg.trace_tid, 0,
+            cfg.trace_label, "flow", trace_tid, 0,
             static_cast<std::int64_t>(result.duration_s * 1e6),
             {obs::TraceArg::num("flows",
                                 static_cast<std::int64_t>(started)),

@@ -68,10 +68,8 @@ struct FlowSimConfig
     /// One complete span for the run plus an instant event per
     /// applied fault (simulated milliseconds as timestamps).
     obs::TraceEventSink *trace = nullptr;
-    /// Span/track label in the trace.
+    /// Span label and name of the run's own trace track.
     std::string trace_label = "flow-sim";
-    /// Trace track id to record on.
-    int trace_tid = 0;
     /// Scoped phase timers ("flow-sim" with "waterfill" nested) when
     /// set. Like metrics: nullptr costs one predicted branch.
     obs::Profiler *profiler = nullptr;

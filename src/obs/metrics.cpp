@@ -68,12 +68,6 @@ MetricsRegistry::counter(const std::string &name)
     return Counter(&counters_[name]);
 }
 
-Gauge
-MetricsRegistry::gauge(const std::string &name)
-{
-    return Gauge(&gauges_[name]);
-}
-
 Histogram
 MetricsRegistry::histogram(const std::string &name,
                            std::vector<double> edges)
@@ -109,13 +103,6 @@ MetricsRegistry::counterValue(const std::string &name) const
     return it == counters_.end() ? 0 : it->second;
 }
 
-std::int64_t
-MetricsRegistry::gaugeValue(const std::string &name) const
-{
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0 : it->second;
-}
-
 const HistogramData *
 MetricsRegistry::findHistogram(const std::string &name) const
 {
@@ -128,8 +115,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
 {
     for (const auto &[name, value] : other.counters_)
         counters_[name] += value;
-    for (const auto &[name, value] : other.gauges_)
-        gauges_[name] += value;
     for (const auto &[name, data] : other.histograms_) {
         const auto it = histograms_.find(name);
         if (it == histograms_.end())

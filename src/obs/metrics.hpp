@@ -1,6 +1,6 @@
 /**
  * @file
- * Observability instruments: a registry of named counters, gauges and
+ * Observability instruments: a registry of named counters and
  * histograms with hot-path costs cheap enough for the cycle-accurate
  * simulator's inner loops.
  *
@@ -56,35 +56,6 @@ class Counter
     explicit Counter(std::uint64_t *cell) : cell_(cell) {}
 
     std::uint64_t *cell_ = nullptr;
-};
-
-/// Last-value instrument (signed). Default handles are no-ops.
-class Gauge
-{
-  public:
-    Gauge() = default;
-
-    void
-    set(std::int64_t v)
-    {
-        if (cell_)
-            *cell_ = v;
-    }
-
-    void
-    add(std::int64_t d)
-    {
-        if (cell_)
-            *cell_ += d;
-    }
-
-    bool enabled() const { return cell_ != nullptr; }
-
-  private:
-    friend class MetricsRegistry;
-    explicit Gauge(std::int64_t *cell) : cell_(cell) {}
-
-    std::int64_t *cell_ = nullptr;
 };
 
 /**
@@ -167,12 +138,10 @@ class MetricsRegistry
     MetricsRegistry &operator=(MetricsRegistry &&) = default;
 
     Counter counter(const std::string &name);
-    Gauge gauge(const std::string &name);
     Histogram histogram(const std::string &name,
                         std::vector<double> edges);
 
     std::uint64_t counterValue(const std::string &name) const;
-    std::int64_t gaugeValue(const std::string &name) const;
     /// nullptr when absent.
     const HistogramData *findHistogram(const std::string &name) const;
 
@@ -180,12 +149,6 @@ class MetricsRegistry
     counters() const
     {
         return counters_;
-    }
-
-    const std::map<std::string, std::int64_t> &
-    gauges() const
-    {
-        return gauges_;
     }
 
     const std::map<std::string, HistogramData> &
@@ -197,12 +160,11 @@ class MetricsRegistry
     bool
     empty() const
     {
-        return counters_.empty() && gauges_.empty() &&
-               histograms_.empty();
+        return counters_.empty() && histograms_.empty();
     }
 
     /**
-     * Fold @p other into this registry: counters and gauges sum,
+     * Fold @p other into this registry: counters sum,
      * histograms merge bucket-wise (matching edges required). The
      * cross-thread aggregation primitive: one registry per worker,
      * merged after the barrier.
@@ -214,7 +176,6 @@ class MetricsRegistry
 
   private:
     std::map<std::string, std::uint64_t> counters_;
-    std::map<std::string, std::int64_t> gauges_;
     std::map<std::string, HistogramData> histograms_;
 };
 

@@ -22,14 +22,19 @@
 #include "coll/execute.hpp"
 #include "coll/plan.hpp"
 #include "coll/schedule.hpp"
+#include "exec/campaign.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/flow_faults.hpp"
 #include "flow/dcn_topology.hpp"
+#include "flow/flow_sim.hpp"
 #include "flow/switch_profile.hpp"
+#include "flow/workload.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
 #include "power/ssc.hpp"
 #include "topology/clos.hpp"
+#include "util/json.hpp"
 
 namespace wss::coll {
 namespace {
@@ -328,6 +333,73 @@ TEST(CollExec, MetricsAndTraceCoverTheRun)
               s.messages.size());
     // One span per step.
     EXPECT_GE(trace.size(), static_cast<std::size_t>(s.steps));
+}
+
+TEST(CollExec, FlowCollectiveAndFaultEventsUseAllocatedTracks)
+{
+    // One sink shared by a campaign (wall-clock spans on worker
+    // tracks 0..2) and by a flow run and a collective, both with a
+    // mid-run spine kill (simulated-time spans and instants): the
+    // simulated-time events must never land on a worker's track.
+    obs::TraceEventSink trace;
+    exec::Campaign campaign;
+    for (int t = 0; t < 4; ++t)
+        campaign.addTask("task " + std::to_string(t), [] {});
+    exec::ThreadPool pool(2);
+    campaign.run(&pool, &trace);
+
+    const flow::SwitchProfile profile = testProfile("t", 8);
+    flow::DcnTopology topo =
+        flow::DcnTopology::buildFatTree(32, 8, 200.0);
+    std::set<int> edges;
+    for (std::int64_t h = 0; h < topo.hostCount(); ++h)
+        edges.insert(topo.edgeOf(h));
+    int spine = -1;
+    for (int sw = 0; sw < topo.switchCount() && spine < 0; ++sw)
+        if (!edges.count(sw))
+            spine = sw;
+    ASSERT_GE(spine, 0);
+
+    flow::DcnWorkloadSpec spec = flow::workloadByName("websearch");
+    spec.flow_count = 300;
+    const auto flows = flow::generateFlows(spec, 32, 200.0, 3);
+    fault::DcnFaultSchedule faults;
+    faults.killSwitch(flows[flows.size() / 2].arrival_s, spine);
+    flow::FlowSimConfig flow_cfg;
+    flow_cfg.trace = &trace;
+    flow::simulateFlows(topo, profile, flows, faults, flow_cfg);
+
+    flow::DcnTopology coll_topo =
+        flow::DcnTopology::buildFatTree(32, 8, 200.0);
+    CollExecConfig coll_cfg;
+    coll_cfg.trace = &trace;
+    coll_cfg.fault.at_step = 2;
+    coll_cfg.fault.id = spine;
+    executeOnDcn(allToAllSchedule(32), 1 << 16, coll_topo, profile,
+                 coll_cfg);
+
+    std::ostringstream os;
+    trace.write(os);
+    const util::JsonValue root = util::JsonValue::parse(os.str(), "trace");
+    std::map<std::string, int> seen;
+    for (const util::JsonValue &e :
+         root.find("traceEvents")->asArray("traceEvents")) {
+        const std::string &phase = e.find("ph")->asString("ph");
+        const util::JsonValue *cat = e.find("cat");
+        if (phase == "M" || cat == nullptr)
+            continue;
+        const std::string &category = cat->asString("cat");
+        if (category == "task")
+            continue;
+        ++seen[category];
+        EXPECT_GE(e.find("tid")->asNumber("tid"),
+                  obs::TraceEventSink::kFirstAllocatedTrack)
+            << category << " event '" << e.find("name")->asString("name")
+            << "' on a campaign worker's track";
+    }
+    EXPECT_EQ(seen["flow"], 1);
+    EXPECT_EQ(seen["coll"], allToAllSchedule(32).steps);
+    EXPECT_EQ(seen["fault"], 2);
 }
 
 TEST(CollExec, RejectsUndersizedTopology)

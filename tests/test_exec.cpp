@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -24,17 +25,6 @@
 
 namespace wss::exec {
 namespace {
-
-TEST(ThreadPool, SubmitReturnsFutureValues)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 64; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futures[i].get(), i * i);
-}
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce)
 {
@@ -90,6 +80,44 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
         pool.parallelFor(8, [&](std::int64_t) { ++total; });
     });
     EXPECT_EQ(total.load(), 32);
+}
+
+TEST(ThreadPool, BackToBackLoopsVisitEveryIndexOnce)
+{
+    // Many short loops in a row leave stale helper closures queued
+    // while the next loop's helpers arrive; a lost wake-up or a
+    // helper running the wrong loop shows up as a missed or doubled
+    // index (or a hang).
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.size(), 4);
+    for (int round = 0; round < 2000; ++round) {
+        const std::int64_t n = 1 + round % 16;
+        std::vector<std::atomic<int>> visits(static_cast<std::size_t>(n));
+        pool.parallelFor(n, [&](std::int64_t i) { ++visits[i]; });
+        for (std::int64_t i = 0; i < n; ++i)
+            ASSERT_EQ(visits[i].load(), 1)
+                << "round " << round << " index " << i;
+    }
+}
+
+TEST(ThreadPool, DestroyRightAfterNestedLoops)
+{
+    // Every loop's body is copied into its queued helper closures;
+    // the token's use count proves that none of them outlives the
+    // pool, i.e. the destructor drained the queue and joined every
+    // helper.
+    const auto token = std::make_shared<int>(0);
+    for (int round = 0; round < 50; ++round) {
+        std::atomic<int> total{0};
+        {
+            ThreadPool pool(4);
+            pool.parallelFor(4, [&, token](std::int64_t) {
+                pool.parallelFor(8, [&, token](std::int64_t) { ++total; });
+            });
+        }
+        EXPECT_EQ(total.load(), 32);
+        EXPECT_EQ(token.use_count(), 1) << "round " << round;
+    }
 }
 
 TEST(ThreadPool, DefaultThreadsHonoursEnvOverride)

@@ -30,7 +30,9 @@
 #include "flow/workload.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/trace_event.hpp"
+#include "obs/watchdog.hpp"
 #include "power/ssc.hpp"
 
 namespace wss::flow {
@@ -148,6 +150,43 @@ TEST(FlowProfile, CalibrationProducesUsableProfile)
         EXPECT_GT(p.points[i].offered, p.points[i - 1].offered);
     // Latency at load must not undercut the zero-load floor.
     EXPECT_GE(p.latencyCycles(0.5), p.zero_load_latency * 0.99);
+}
+
+TEST(FlowProfile, CalibrationRunsAsOneCampaign)
+{
+    // The calibration sweep goes through exec::Campaign like every
+    // other fan-out: one JobStart (and one WorkerScope heartbeat) per
+    // rate, --progress counts its cells, and the profiler files the
+    // cells under the campaign's job phase.
+    obs::Watchdog::resetForTesting();
+    obs::FlightRecorder::resetForTesting();
+    obs::FlightRecorder::enable(256);
+    obs::FlightRecorder::attachCurrentThread("main");
+    CalibrationSpec spec;
+    spec.ports = 16;
+    spec.ssc = power::scaledSsc(8, 200.0);
+    spec.rates = {0.1, 0.3, 0.5};
+    spec.packet_flits = 1;
+    spec.sim_cfg.warmup = 100;
+    spec.sim_cfg.measure = 300;
+    spec.sim_cfg.drain_limit = 2000;
+    obs::Profiler profiler;
+    {
+        exec::ThreadPool pool(2);
+        calibrateSwitchProfile(spec, &pool, nullptr, &profiler);
+    }
+    const std::uint64_t starts =
+        obs::FlightRecorder::kindCount(obs::EventKind::JobStart);
+    const std::uint64_t beats =
+        obs::FlightRecorder::kindCount(obs::EventKind::Heartbeat);
+    const std::uint64_t total = obs::Watchdog::progressTotal();
+    obs::FlightRecorder::resetForTesting();
+    obs::Watchdog::resetForTesting();
+
+    EXPECT_EQ(starts, spec.rates.size());
+    EXPECT_EQ(beats, starts);
+    EXPECT_EQ(total, spec.rates.size());
+    EXPECT_EQ(profiler.phases().count("calibrate/campaign/sweep"), 1u);
 }
 
 // --- DcnTopology -----------------------------------------------------

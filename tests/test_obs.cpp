@@ -71,29 +71,15 @@ TEST(Metrics, CounterHandlesAliasTheSameCell)
 TEST(Metrics, DefaultHandlesAreDisabledNoOps)
 {
     Counter c;
-    Gauge g;
     Histogram h;
     EXPECT_FALSE(c.enabled());
-    EXPECT_FALSE(g.enabled());
     EXPECT_FALSE(h.enabled());
     // Must be safe to call (the whole point of the null-handle
     // design: instrumented code never branches on an "observing?"
     // flag).
     c.inc();
     c.inc(100);
-    g.set(7);
-    g.add(-3);
     h.record(1.5);
-}
-
-TEST(Metrics, GaugeSetAndAdd)
-{
-    MetricsRegistry reg;
-    Gauge g = reg.gauge("depth");
-    g.set(10);
-    g.add(-4);
-    EXPECT_EQ(reg.gaugeValue("depth"), 6);
-    EXPECT_EQ(reg.gaugeValue("absent"), 0);
 }
 
 TEST(Metrics, HandlesSurviveRegistryGrowthAndMove)
@@ -190,7 +176,6 @@ TEST(Metrics, MergeAggregatesAcrossThreads)
                 c.inc();
                 h.record(static_cast<double>(i % 150));
             }
-            per_thread[t].gauge("last").set(t);
         });
     for (auto &thread : threads)
         thread.join();
@@ -209,8 +194,6 @@ TEST(Metrics, MergeAggregatesAcrossThreads)
               dist->count);
     EXPECT_DOUBLE_EQ(dist->min, 0.0);
     EXPECT_DOUBLE_EQ(dist->max, 149.0);
-    // Gauges sum on merge (0+1+2+3).
-    EXPECT_EQ(total.gaugeValue("last"), 6);
 }
 
 // ---------------------------------------------------------------------

@@ -31,7 +31,8 @@
 #      must reconcile (the CLI panics if they do not), and
 #   6. a DCN smoke: `wss dcn` calibrates a tiny fat-tree pair and runs
 #      1k flows; its JSON artifact, windowed telemetry and provenance
-#      manifest must parse, and
+#      manifest must parse, and a calibration at --jobs 1 and at
+#      --jobs 4 must write byte-identical profiles and CSVs, and
 #   7. a collectives smoke: `wss coll` runs the allreduce/all-to-all
 #      comparison (flow vs alpha-beta, plus the cycle-accurate fabric
 #      crosscheck and a parallelism plan); its JSON and manifest must
@@ -195,6 +196,20 @@ python3 -m json.tool "$OBS_TMP/dcn.json" > /dev/null
 python3 -m json.tool "$OBS_TMP/dcn.manifest.json" > /dev/null
 test -s "$OBS_TMP/dcn_windows.csv"
 echo "dcn JSON + manifest parse"
+
+echo "== dcn calibration: identical at --jobs 1 and 4 =="
+for jobs in 1 4; do
+    build/tools/wss dcn --calibrate --cal-ports 64 --points 3 \
+        --flows 1000 --hosts 64 --jobs "$jobs" \
+        --profiles "$OBS_TMP/cal_j$jobs" --csv "$OBS_TMP/cal_j$jobs.csv" \
+        > /dev/null
+done
+for profile in "$OBS_TMP"/cal_j1/*.json; do
+    cmp "$profile" "$OBS_TMP/cal_j4/$(basename "$profile")"
+done
+test "$(ls "$OBS_TMP/cal_j1" | wc -l)" -eq 2
+cmp "$OBS_TMP/cal_j1.csv" "$OBS_TMP/cal_j4.csv"
+echo "calibration profiles + CSV identical across --jobs"
 
 echo "== coll smoke: schedules at three fidelities =="
 build/tools/wss coll --ws-ports 256 --conv-ports 64 --cal-ports 64 \
