@@ -219,16 +219,6 @@ Schedule::bytesOnWire(double payload_bytes) const
     return total;
 }
 
-double
-Schedule::maxStepBytes(int step, double payload_bytes) const
-{
-    double max_bytes = 0.0;
-    for (const CollMessage &m : messages)
-        if (m.step == step)
-            max_bytes = std::max(max_bytes, m.fraction * payload_bytes);
-    return max_bytes;
-}
-
 Schedule
 allReduceSchedule(Algorithm algorithm, int ranks)
 {

@@ -110,10 +110,6 @@ struct Schedule
     /// Total bytes crossing the network for @p payload_bytes per
     /// rank (sum of message fractions x payload).
     double bytesOnWire(double payload_bytes) const;
-
-    /// Largest per-message byte count of step @p step — the term a
-    /// bulk-synchronous step's duration is proportional to.
-    double maxStepBytes(int step, double payload_bytes) const;
 };
 
 /**

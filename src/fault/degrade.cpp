@@ -6,17 +6,6 @@
 
 namespace wss::fault {
 
-std::string_view
-toString(Connectivity c)
-{
-    switch (c) {
-    case Connectivity::FullyConnected: return "fully-connected";
-    case Connectivity::Degraded: return "degraded";
-    case Connectivity::Partitioned: return "partitioned";
-    }
-    return "?";
-}
-
 DegradeResult
 degradeTopology(const topology::LogicalTopology &topo,
                 const DefectMap &map)

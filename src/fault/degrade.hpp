@@ -18,7 +18,6 @@
 #define WSS_FAULT_DEGRADE_HPP
 
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "fault/defect.hpp"
@@ -39,8 +38,6 @@ enum class Connectivity
     /// Port-bearing chiplets ended up in two or more islands.
     Partitioned,
 };
-
-std::string_view toString(Connectivity c);
 
 /// What applying a DefectMap left behind.
 struct DegradeResult

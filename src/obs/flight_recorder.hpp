@@ -178,8 +178,10 @@ class ThreadRing
 namespace frdetail {
 
 /// Null while this thread is detached or the recorder is disabled —
-/// the one predicted branch of the disabled contract.
-extern thread_local ThreadRing *tl_ring;
+/// the one predicted branch of the disabled contract. constinit lets
+/// the inline read load the TLS slot directly instead of calling the
+/// extern thread_local init wrapper.
+extern constinit thread_local ThreadRing *tl_ring;
 
 /// Slow path: timestamp, per-kind counter bump, ring write.
 void recordSlow(ThreadRing *ring, EventKind kind, std::int64_t a,

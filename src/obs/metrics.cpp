@@ -19,22 +19,6 @@ HistogramData::record(double v)
     max = std::max(max, v);
 }
 
-void
-HistogramData::merge(const HistogramData &other)
-{
-    if (edges != other.edges)
-        fatal("HistogramData::merge: bucket edges differ (",
-              edges.size(), " vs ", other.edges.size(),
-              " edges); histograms with the same name must share "
-              "their layout");
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        buckets[i] += other.buckets[i];
-    count += other.count;
-    sum += other.sum;
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-}
-
 std::uint64_t
 MetricsSnapshot::value(const std::string &name) const
 {
@@ -108,20 +92,6 @@ MetricsRegistry::findHistogram(const std::string &name) const
 {
     const auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void
-MetricsRegistry::merge(const MetricsRegistry &other)
-{
-    for (const auto &[name, value] : other.counters_)
-        counters_[name] += value;
-    for (const auto &[name, data] : other.histograms_) {
-        const auto it = histograms_.find(name);
-        if (it == histograms_.end())
-            histograms_.emplace(name, data);
-        else
-            it->second.merge(data);
-    }
 }
 
 MetricsSnapshot

@@ -14,12 +14,9 @@
  *    router hot loop when observability is off.
  *
  * A MetricsRegistry is intentionally NOT thread-safe: each simulation
- * run (one thread) owns its own registry, and concurrent collection
- * uses one registry per thread merged after the barrier
- * (MetricsRegistry::merge), mirroring the per-worker-buffer pattern
- * of exec::Campaign. Handles point into std::map nodes, so they stay
- * valid as the registry grows (and across registry moves), but must
- * not outlive it.
+ * run (one thread) owns its own registry. Handles point into std::map
+ * nodes, so they stay valid as the registry grows (and across
+ * registry moves), but must not outlive it.
  */
 
 #ifndef WSS_OBS_METRICS_HPP
@@ -75,9 +72,6 @@ struct HistogramData
     double max = -std::numeric_limits<double>::infinity();
 
     void record(double v);
-
-    /// Bucket-wise sum; edges must match exactly (fatal otherwise).
-    void merge(const HistogramData &other);
 };
 
 /// Histogram handle. Default-constructed handles are no-ops.
@@ -162,14 +156,6 @@ class MetricsRegistry
     {
         return counters_.empty() && histograms_.empty();
     }
-
-    /**
-     * Fold @p other into this registry: counters sum,
-     * histograms merge bucket-wise (matching edges required). The
-     * cross-thread aggregation primitive: one registry per worker,
-     * merged after the barrier.
-     */
-    void merge(const MetricsRegistry &other);
 
     /// Copy of every counter, name-sorted.
     MetricsSnapshot snapshot() const;

@@ -3,7 +3,7 @@
  * Chrome trace-event JSON writer (the format chrome://tracing and
  * Perfetto load natively): complete events ("X") for spans such as
  * exec::Campaign cells, instant events ("i") for point occurrences
- * such as fault::FaultSchedule link transitions, and metadata events
+ * such as DCN switch failures in the flow simulator, and metadata events
  * ("M") naming the process and per-worker thread tracks.
  *
  * The sink is thread-safe (appends take a mutex — it sits on the

@@ -123,9 +123,10 @@ Network::Network(const topology::LogicalTopology &topo,
     }
 
     // Inter-router channels: one bidirectional pair per unit of
-    // multiplicity. Track which ports lead to which neighbor (and
-    // over which logical link) for the routing tables.
-    adjacency_.resize(static_cast<std::size_t>(n));
+    // multiplicity. Track which ports lead to which neighbor for the
+    // routing tables.
+    std::vector<std::vector<PortLink>> adjacency(
+        static_cast<std::size_t>(n));
     const auto &links = topo.links();
     for (std::size_t li = 0; li < links.size(); ++li) {
         const auto &link = links[li];
@@ -153,16 +154,13 @@ Network::Network(const topology::LogicalTopology &topo,
             ba->flit_sink_port = pa;
             ba->credit_sink = routers_[link.b].get();
             ba->credit_sink_port = pb;
-            adjacency_[link.a].push_back(
-                {pa, link.b, static_cast<int>(li)});
-            adjacency_[link.b].push_back(
-                {pb, link.a, static_cast<int>(li)});
+            adjacency[link.a].push_back({pa, link.b});
+            adjacency[link.b].push_back({pb, link.a});
             link_channels_.push_back(std::move(ab));
             link_channels_.push_back(std::move(ba));
         }
         link_channel_count_.push_back(2 * link.multiplicity);
     }
-    link_up_.assign(links.size(), 1);
 
     // Terminal -> local output port maps. Terminal ids were assigned
     // in router order, so a running counter per router recovers the
@@ -187,15 +185,16 @@ Network::Network(const topology::LogicalTopology &topo,
     for (auto &slot : credit_wheel_)
         slot.reserve(static_cast<std::size_t>(terminal_count_));
 
-    buildRoutingTables();
+    buildRoutingTables(adjacency);
 }
 
 void
-Network::buildRoutingTables()
+Network::buildRoutingTables(
+    const std::vector<std::vector<PortLink>> &adjacency)
 {
     const int n = routerCount();
 
-    // BFS distances from every router over the live links.
+    // BFS distances from every router.
     std::vector<std::vector<int>> dist(n, std::vector<int>(n, -1));
     for (int src = 0; src < n; ++src) {
         auto &d = dist[src];
@@ -205,9 +204,7 @@ Network::buildRoutingTables()
         while (!queue.empty()) {
             const int u = queue.front();
             queue.pop();
-            for (const auto &pl : adjacency_[u]) {
-                if (!link_up_[static_cast<std::size_t>(pl.link)])
-                    continue;
+            for (const auto &pl : adjacency[u]) {
                 if (d[pl.neighbor] < 0) {
                     d[pl.neighbor] = d[u] + 1;
                     queue.push(pl.neighbor);
@@ -229,15 +226,13 @@ Network::buildRoutingTables()
                 continue;
             if (dist[r][d] < 0)
                 fatal("Network: routers ", r, " and ", d,
-                      " are disconnected (link failures partitioned "
-                      "the fabric?)");
+                      " are disconnected");
             const auto before = ports.size();
-            for (const auto &pl : adjacency_[r])
-                if (link_up_[static_cast<std::size_t>(pl.link)] &&
-                    dist[pl.neighbor][d] == dist[r][d] - 1)
+            for (const auto &pl : adjacency[r])
+                if (dist[pl.neighbor][d] == dist[r][d] - 1)
                     ports.push_back(static_cast<std::int16_t>(pl.port));
             if (ports.size() == before)
-                fatal("Network: router ", r, " has no live minimal-",
+                fatal("Network: router ", r, " has no minimal-",
                       "path port toward router ", d,
                       " (empty ECMP set)");
         }
@@ -245,22 +240,6 @@ Network::buildRoutingTables()
         routers_[r]->installRoutes(&terminal_router_, std::move(offsets),
                                    std::move(ports), term_port_[r]);
     }
-}
-
-void
-Network::setLinkUp(int link, bool up)
-{
-    if (link < 0 || link >= linkCount())
-        fatal("Network::setLinkUp: link ", link, " out of range");
-    auto &state = link_up_[static_cast<std::size_t>(link)];
-    if ((state != 0) == up)
-        return;
-    state = up ? 1 : 0;
-    for (std::size_t r = 0; r < adjacency_.size(); ++r)
-        for (const auto &pl : adjacency_[r])
-            if (pl.link == link)
-                routers_[r]->setPortEnabled(pl.port, up);
-    buildRoutingTables();
 }
 
 bool

@@ -70,8 +70,7 @@ class Network
     int routerCount() const { return static_cast<int>(routers_.size()); }
     const NetworkSpec &spec() const { return spec_; }
 
-    /// Router @p r (read-only; the fault layer inspects port state
-    /// and routing behaviour through this).
+    /// Router @p r (read-only).
     const Router &
     router(int r) const
     {
@@ -84,23 +83,6 @@ class Network
     {
         return static_cast<int>(link_channel_count_.size());
     }
-
-    /// Administrative state of logical link @p link.
-    bool
-    linkUp(int link) const
-    {
-        return link_up_.at(static_cast<std::size_t>(link)) != 0;
-    }
-
-    /**
-     * Kill (@p up false) or restore (@p up true) logical link
-     * @p link and rebuild every routing table excluding dead links.
-     * Flits already in flight on the link keep draining (the
-     * maintenance model: a failed link carries no *new* packets);
-     * new route computations only see surviving paths. Calls
-     * fatal() if the surviving fabric is partitioned.
-     */
-    void setLinkUp(int link, bool up);
 
     /// Router hosting terminal @p t (for locality-aware workloads).
     int routerOfTerminal(int t) const { return terminal_router_[t]; }
@@ -198,18 +180,17 @@ class Network
     {
         int port = 0;
         int neighbor = 0;
-        /// Logical link index (for the administrative up/down state).
-        int link = 0;
     };
 
     /**
-     * Recompute every router's shortest-path ECMP table over the
-     * live links (link_up_) and install them. Fails loudly — both
-     * when a destination router is unreachable and when a reachable
+     * Compute every router's shortest-path ECMP table over
+     * @p adjacency and install them. Fails loudly — both when a
+     * destination router is unreachable and when a reachable
      * destination would end up with an empty ECMP candidate set —
      * rather than letting packets silently drop.
      */
-    void buildRoutingTables();
+    void buildRoutingTables(
+        const std::vector<std::vector<PortLink>> &adjacency);
 
     NetworkSpec spec_;
     int terminal_count_ = 0;
@@ -239,11 +220,6 @@ class Network
     std::vector<int> link_channel_count_;
     std::vector<TerminalEndpoint> terminals_;
     std::vector<std::int32_t> terminal_router_;
-    /// Per-router adjacency (one entry per unit of multiplicity),
-    /// retained for routing-table rebuilds after link failures.
-    std::vector<std::vector<PortLink>> adjacency_;
-    /// Administrative per-link state; 1 = up.
-    std::vector<char> link_up_;
     /// Per-router terminal -> local output port (-1 elsewhere).
     std::vector<std::vector<std::int16_t>> term_port_;
 };

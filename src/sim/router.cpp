@@ -43,7 +43,6 @@ Router::Router(int id, const RouterConfig &cfg, std::uint64_t seed,
         in.occupied.reserve(cfg.vcs);
         in.pending.reserve(cfg.vcs);
     }
-    port_enabled_.assign(static_cast<std::size_t>(cfg.ports), 1);
     outputs_.resize(cfg.ports);
     for (auto &out : outputs_)
         out.vc_owner.assign(cfg.vcs, -1);
@@ -75,12 +74,6 @@ Router::connectOutput(int port, ChannelPair *channel,
     out.credits = downstream_buffer;
     if (channel)
         growWakeWheel(channel->credits.latency());
-}
-
-void
-Router::setPortEnabled(int port, bool enabled)
-{
-    port_enabled_.at(static_cast<std::size_t>(port)) = enabled ? 1 : 0;
 }
 
 void

@@ -228,21 +228,6 @@ class Router
         std::vector<std::int16_t> candidate_ports,
         std::vector<std::int16_t> terminal_port_of);
 
-    /**
-     * Administratively enable/disable output port @p port (fault
-     * layer). Disabled ports are excluded from rebuilt routing
-     * tables; flits already staged for the port keep draining so
-     * wormhole state stays consistent.
-     */
-    void setPortEnabled(int port, bool enabled);
-
-    /// Administrative state of output port @p port.
-    bool
-    portEnabled(int port) const
-    {
-        return port_enabled_.at(static_cast<std::size_t>(port)) != 0;
-    }
-
     /// Call once after the last connectInput/connectOutput: pre-sizes
     /// every wake-wheel slot to its structural bound (one flit wake
     /// per input port plus one credit wake per output port can land
@@ -405,8 +390,6 @@ class Router
 
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;
-    /// Administrative per-port state (fault layer); 1 = up.
-    std::vector<char> port_enabled_;
 
     /// Pending-work bitmasks, one bit per port: flits arriving this
     /// cycle on an input channel (materialized from the wake wheel at

@@ -302,8 +302,6 @@ Simulator::run()
     for (;; ++now) {
         if (obs_)
             beginCycleObs(now);
-        if (cfg_.on_cycle)
-            cfg_.on_cycle(network_, now);
         if (cfg_.run_to_exhaustion ? !workload_.exhausted(now)
                                    : now < window_end)
             generate(now);

@@ -36,9 +36,6 @@ struct SimConfig
     /// measure every packet. The `measure` field then only bounds
     /// the run length.
     bool run_to_exhaustion = false;
-    /// Optional per-cycle hook, invoked before generation each cycle
-    /// (fault::FaultSchedule kills/restores links through this).
-    std::function<void(Network &, Cycle)> on_cycle;
     /// Collect per-router counters, per-link flit totals and buffer-
     /// occupancy histograms (SimResult::observation). Off by default:
     /// the instruments then stay detached and the hot loop pays only

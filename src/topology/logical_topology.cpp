@@ -46,12 +46,6 @@ LogicalTopology::addLink(int a, int b, int multiplicity)
     links_.push_back({a, b, multiplicity});
 }
 
-const power::SscConfig &
-LogicalTopology::sscOf(int id) const
-{
-    return sscs_[nodes_[id].ssc_type];
-}
-
 std::int64_t
 LogicalTopology::totalExternalPorts() const
 {

@@ -92,9 +92,6 @@ class LogicalTopology
     const std::vector<LogicalNode> &nodes() const { return nodes_; }
     const std::vector<LogicalLink> &links() const { return links_; }
 
-    /// The SSC design of node @p id.
-    const power::SscConfig &sscOf(int id) const;
-
     /// Sum of external ports over all nodes (the switch radix).
     std::int64_t totalExternalPorts() const;
 

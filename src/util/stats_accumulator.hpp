@@ -34,26 +34,6 @@ class StatsAccumulator
         max_ = std::max(max_, x);
     }
 
-    /// Merge another accumulator into this one (Chan's formula).
-    void
-    merge(const StatsAccumulator &other)
-    {
-        if (other.n_ == 0)
-            return;
-        if (n_ == 0) {
-            *this = other;
-            return;
-        }
-        const double delta = other.mean_ - mean_;
-        const auto n = static_cast<double>(n_);
-        const auto m = static_cast<double>(other.n_);
-        mean_ += delta * m / (n + m);
-        m2_ += other.m2_ + delta * delta * n * m / (n + m);
-        n_ += other.n_;
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-
     std::uint64_t count() const { return n_; }
     bool empty() const { return n_ == 0; }
     double mean() const { return n_ ? mean_ : 0.0; }
@@ -95,22 +75,11 @@ class QuantileSampler
     /// invariant.
     void reserve(std::size_t n) { samples_.reserve(n); }
 
-    /// Merge another sampler's samples into this one. Quantiles of
-    /// the merged sampler are exact (identical to a single stream
-    /// that saw all samples), so per-worker samplers can be combined
-    /// at a barrier.
-    void
-    merge(const QuantileSampler &other)
-    {
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-    }
-
     /**
      * Exact quantile by nearest-rank, q in [0, 1].
      * Selects on a reused scratch buffer (O(n) nth_element, no full
      * sort), leaving the sample stream itself untouched — callers
-     * can keep adding or merging afterwards, and no copy of the
+     * can keep adding afterwards, and no copy of the
      * sampler is ever needed just to read a quantile.
      * @return NaN for an empty sampler — "no samples" must not be
      *         confusable with a measured 0; callers that want a

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the extension features beyond the paper's core study:
- * manufacturing-yield models, the 3-level Clos builder, and
+ * manufacturing-yield models, the Table IX DCN spine count, and
  * credit-adaptive ECMP routing.
  */
 
@@ -12,8 +12,6 @@
 #include "sim/load_sweep.hpp"
 #include "tech/yield.hpp"
 #include "topology/clos.hpp"
-#include "topology/clos3.hpp"
-#include "topology/properties.hpp"
 
 namespace wss {
 namespace {
@@ -128,57 +126,13 @@ TEST(Yield, KgdCostFactorIsInverseYield)
                 1.0, 1e-12);
 }
 
-TEST(Clos3, StructureAndChipletCount)
-{
-    const power::SscConfig ssc = power::scaledSsc(8, 200.0);
-    // k = 8: pods of 4 leaves x 4 ports; 64 ports = 4 full pods.
-    const auto topo = topology::buildThreeLevelClos(64, ssc);
-    EXPECT_EQ(topo.validate(), "");
-    EXPECT_EQ(topo.totalExternalPorts(), 64);
-    EXPECT_EQ(topo.nodeCount(), topology::clos3ChipletCount(64, 8));
-    EXPECT_EQ(topo.nodeCount(), 40); // 16 + 16 + 8 = 5N/k
-}
-
-TEST(Clos3, WorstCaseHopsAreFive)
-{
-    const power::SscConfig ssc = power::scaledSsc(8, 200.0);
-    const auto topo = topology::buildThreeLevelClos(64, ssc);
-    // leaf - agg - spine - agg - leaf.
-    EXPECT_EQ(topology::worstCaseHopCount(topo), 5);
-}
-
-TEST(Clos3, ScalesBeyondTwoLevelLimit)
-{
-    const int k = 8;
-    // 2-level tops out at k^2/2 = 32 ports; 3-level reaches k^3/4.
-    EXPECT_EQ(topology::clos3MaxPorts(k), 128);
-    const power::SscConfig ssc = power::scaledSsc(k, 200.0);
-    const auto topo = topology::buildThreeLevelClos(128, ssc);
-    EXPECT_EQ(topo.validate(), "");
-    EXPECT_EQ(topo.totalExternalPorts(), 128);
-}
-
-TEST(Clos3, PartialPodsWork)
-{
-    const power::SscConfig ssc = power::scaledSsc(8, 200.0);
-    const auto topo = topology::buildThreeLevelClos(40, ssc); // 2.5 pods
-    EXPECT_EQ(topo.validate(), "");
-    EXPECT_EQ(topo.totalExternalPorts(), 40);
-}
-
-TEST(Clos3, TableIXDcnShape)
+TEST(TableIX, DcnSpineCount)
 {
     // The paper's DCN spine: 48 waferscale 2048 x 800G switches
     // switching 16384 racks x 2 links. Modeling each waferscale
     // switch as one "SSC" of radix 2048 reproduces the 2-level
     // arithmetic: 3 * 32768 / 2048 = 48.
     EXPECT_EQ(topology::closChipletCount(32768, 2048), 48);
-}
-
-TEST(Clos3, RejectsOversizedRequests)
-{
-    const power::SscConfig ssc = power::scaledSsc(8, 200.0);
-    EXPECT_DEATH(topology::buildThreeLevelClos(256, ssc), "exceed");
 }
 
 TEST(AdaptiveRouting, BeatsObliviousOnPermutationTraffic)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the fault subsystem: defect-map sampling, spare-socket
- * repair, topology degradation, runtime fault injection, and the
- * resilience campaign's determinism contract.
+ * repair, topology degradation, and the resilience campaign's
+ * determinism contract.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "exec/thread_pool.hpp"
 #include "fault/defect.hpp"
 #include "fault/degrade.hpp"
-#include "fault/fault_schedule.hpp"
 #include "fault/resilience.hpp"
 #include "power/ssc.hpp"
 #include "sim/network.hpp"
@@ -222,111 +221,6 @@ TEST(Degrade, DeadOnlySpinePartitionsTheLeaves)
     EXPECT_EQ(deg.classification, Connectivity::Partitioned);
     // Two 4-port islands; the kept one is the lowest-id leaf.
     EXPECT_EQ(deg.usable_ports, 4);
-}
-
-TEST(NetworkFaults, SetLinkDownDisablesPortsAndReroutes)
-{
-    const auto topo = tinyClos();
-    sim::NetworkSpec spec;
-    spec.vcs = 4;
-    spec.buffer_per_port = 16;
-    sim::Network net(topo, spec, 7);
-    ASSERT_EQ(net.linkCount(),
-              static_cast<int>(topo.links().size()));
-
-    const int link = linkTouching(topo, 0);
-    ASSERT_GE(link, 0);
-    const int multiplicity =
-        topo.links()[static_cast<std::size_t>(link)].multiplicity;
-
-    auto disabledPorts = [&net] {
-        int disabled = 0;
-        for (int r = 0; r < net.routerCount(); ++r) {
-            const sim::Router &router = net.router(r);
-            for (int p = 0; p < router.config().ports; ++p)
-                disabled += router.portEnabled(p) ? 0 : 1;
-        }
-        return disabled;
-    };
-
-    EXPECT_TRUE(net.linkUp(link));
-    EXPECT_EQ(disabledPorts(), 0);
-
-    net.setLinkUp(link, false);
-    EXPECT_FALSE(net.linkUp(link));
-    // Both endpoints drop one port per bundle unit.
-    EXPECT_EQ(disabledPorts(), 2 * multiplicity);
-
-    // The degraded fabric still routes everything: every packet of a
-    // moderate uniform load is delivered via the surviving paths.
-    sim::SyntheticWorkload workload(
-        sim::uniformTraffic(net.terminalCount()), 0.2, 2);
-    sim::SimConfig cfg;
-    cfg.warmup = 300;
-    cfg.measure = 1000;
-    cfg.drain_limit = 8000;
-    cfg.seed = 7;
-    const sim::SimResult result =
-        sim::Simulator(net, workload, cfg).run();
-    EXPECT_TRUE(result.stable);
-    EXPECT_NEAR(result.accepted, 0.2, 0.05);
-
-    net.setLinkUp(link, true);
-    EXPECT_TRUE(net.linkUp(link));
-    EXPECT_EQ(disabledPorts(), 0);
-}
-
-TEST(NetworkFaults, PartitioningLinkFailureDiesLoudly)
-{
-    // 2 leaves + 1 spine: each leaf's single bundle is a cut edge.
-    const auto topo = tinyClos(8);
-    sim::NetworkSpec spec;
-    spec.vcs = 2;
-    spec.buffer_per_port = 8;
-    sim::Network net(topo, spec, 3);
-    EXPECT_DEATH(net.setLinkUp(0, false), "disconnected");
-}
-
-TEST(FaultSchedule, RejectsBadEvents)
-{
-    FaultSchedule schedule;
-    EXPECT_DEATH(schedule.killLink(-1, 0), "bad kill");
-    EXPECT_DEATH(schedule.restoreLink(0, -2), "bad restore");
-    EXPECT_DEATH(schedule.flapLink(0, 400, 100), "after");
-}
-
-TEST(FaultSchedule, AppliesEventsMidSimulation)
-{
-    const auto topo = tinyClos();
-    const int link = linkTouching(topo, 0);
-    ASSERT_GE(link, 0);
-
-    FaultSchedule schedule;
-    schedule.flapLink(link, 150, 700);
-    schedule.killLink(900, link);
-
-    sim::NetworkSpec spec;
-    spec.vcs = 4;
-    spec.buffer_per_port = 16;
-    sim::Network net(topo, spec, 5);
-    sim::SyntheticWorkload workload(
-        sim::uniformTraffic(net.terminalCount()), 0.2, 2);
-    sim::SimConfig cfg;
-    cfg.warmup = 300;
-    cfg.measure = 1000;
-    cfg.drain_limit = 8000;
-    cfg.seed = 5;
-    schedule.installInto(cfg);
-    ASSERT_TRUE(cfg.on_cycle);
-
-    const sim::SimResult result =
-        sim::Simulator(net, workload, cfg).run();
-    // Flapped down, restored, killed again: the final administrative
-    // state reflects the last event, and no measured packet was lost
-    // along the way.
-    EXPECT_FALSE(net.linkUp(link));
-    EXPECT_TRUE(result.stable);
-    EXPECT_NEAR(result.accepted, 0.2, 0.05);
 }
 
 /// The acceptance scenario: a Clos losing one middle-stage SSC stays

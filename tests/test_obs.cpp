@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the observability layer: metrics registry semantics
- * (handle aliasing, histogram bucket edges, snapshot deltas,
- * cross-thread merge), Chrome-trace JSON well-formedness (parsed back
+ * (handle aliasing, histogram bucket edges, snapshot deltas),
+ * Chrome-trace JSON well-formedness (parsed back
  * by util::JsonValue), trace-content determinism across
  * thread counts, flush-checked artifact writing, and the contract
  * that observability never perturbs simulation results. Phase 2
@@ -32,7 +32,6 @@
 
 #include "exec/campaign.hpp"
 #include "exec/thread_pool.hpp"
-#include "fault/fault_schedule.hpp"
 #include "obs/crash_dump.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -156,44 +155,6 @@ TEST(Metrics, SnapshotDeltaIsPerPhaseArithmetic)
     EXPECT_EQ(delta.value("flits"), 25u);
     EXPECT_EQ(delta.value("late"), 2u);
     EXPECT_EQ(delta.value("absent"), 0u);
-}
-
-TEST(Metrics, MergeAggregatesAcrossThreads)
-{
-    // The concurrency pattern the registry is designed for: one
-    // registry per worker, merged after the barrier. No instrument is
-    // ever shared between threads.
-    constexpr int kThreads = 4;
-    constexpr int kIncrements = 10000;
-    std::vector<MetricsRegistry> per_thread(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&per_thread, t] {
-            Counter c = per_thread[t].counter("work");
-            Histogram h =
-                per_thread[t].histogram("dist", {10.0, 100.0});
-            for (int i = 0; i < kIncrements; ++i) {
-                c.inc();
-                h.record(static_cast<double>(i % 150));
-            }
-        });
-    for (auto &thread : threads)
-        thread.join();
-
-    MetricsRegistry total;
-    for (const auto &reg : per_thread)
-        total.merge(reg);
-
-    EXPECT_EQ(total.counterValue("work"),
-              static_cast<std::uint64_t>(kThreads) * kIncrements);
-    const HistogramData *dist = total.findHistogram("dist");
-    ASSERT_NE(dist, nullptr);
-    EXPECT_EQ(dist->count,
-              static_cast<std::uint64_t>(kThreads) * kIncrements);
-    EXPECT_EQ(dist->buckets[0] + dist->buckets[1] + dist->buckets[2],
-              dist->count);
-    EXPECT_DOUBLE_EQ(dist->min, 0.0);
-    EXPECT_DOUBLE_EQ(dist->max, 149.0);
 }
 
 // ---------------------------------------------------------------------
@@ -431,52 +392,6 @@ TEST(TraceEvent, CampaignContentIsIdenticalAtAnyThreadCount)
     EXPECT_EQ(serial, parallel);
     // 2 rates x 2 reps + 1 task = 5 spans.
     EXPECT_EQ(serial.size(), 5u);
-}
-
-TEST(TraceEvent, FaultScheduleEmitsInstantEvents)
-{
-    // 16 ports -> multiple spines, so killing one uplink bundle
-    // leaves the fabric connected (ECMP reroutes around it).
-    const auto topo =
-        topology::buildFoldedClos({16, power::scaledSsc(8, 200.0), 1});
-    sim::NetworkSpec spec;
-    spec.vcs = 2;
-    spec.buffer_per_port = 8;
-    sim::Network net(topo, spec, 3);
-    sim::SyntheticWorkload workload(sim::uniformTraffic(16), 0.2, 1);
-
-    // Flap the first link touching router 0 (the pattern the fault
-    // tests use; ECMP reroutes around it).
-    int link = -1;
-    for (std::size_t li = 0; li < topo.links().size(); ++li)
-        if (topo.links()[li].a == 0 || topo.links()[li].b == 0) {
-            link = static_cast<int>(li);
-            break;
-        }
-    ASSERT_GE(link, 0);
-    fault::FaultSchedule schedule;
-    schedule.flapLink(link, 100, 400);
-
-    TraceEventSink sink;
-    sim::SimConfig cfg;
-    cfg.warmup = 200;
-    cfg.measure = 600;
-    cfg.drain_limit = 8000;
-    schedule.installInto(cfg, &sink);
-
-    sim::Simulator sim(net, workload, cfg);
-    sim.run();
-
-    const auto content = eventContent(sink);
-    ASSERT_EQ(content.size(), 2u);
-    // Timestamps of fault instants are *simulated* cycles.
-    const Json root = parseTrace(sink);
-    for (const Json &e : root.find("traceEvents")->array) {
-        EXPECT_EQ(e.find("ph")->string, "i");
-        EXPECT_EQ(e.find("cat")->string, "fault");
-        const double ts = e.find("ts")->number;
-        EXPECT_TRUE(ts == 100.0 || ts == 400.0);
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,6 @@
 
 #include "power/ssc.hpp"
 #include "topology/clos.hpp"
-#include "topology/clos3.hpp"
 #include "topology/dragonfly.hpp"
 #include "topology/mesh.hpp"
 #include "topology/properties.hpp"
@@ -145,31 +144,6 @@ TEST(Dragonfly, GroupCountBeyondGlobalBudgetDiesLoudly)
     // need 41 distinct peers and exceed the budget.
     const power::SscConfig ssc = power::scaledSsc(16, 200.0);
     EXPECT_DEATH(buildDragonfly(42, ssc), "global-link budget");
-}
-
-TEST(TableVI, Clos3ChipletCountNonPowerOfTwoRadix)
-{
-    // The 5N/k law is exact at whole pods, for any even radix — not
-    // just powers of two. Radix 24: pods hold 144 ports.
-    EXPECT_EQ(clos3ChipletCount(288, 24), 5 * 288 / 24);
-    EXPECT_EQ(clos3ChipletCount(720, 24), 5 * 720 / 24);
-    // Radix 96: one pod is 2304 ports.
-    EXPECT_EQ(clos3ChipletCount(4608, 96), 5 * 4608 / 96);
-    // Partial final pods round the aggregation/spine layers up; the
-    // count must match what the builder actually instantiates.
-    for (const int radix : {12, 24, 40}) {
-        const power::SscConfig ssc =
-            power::scaledSsc(radix, 200.0);
-        const std::int64_t half = radix / 2;
-        for (const std::int64_t ports :
-             {half * 3, half * half, half * half * 2 + half}) {
-            const LogicalTopology topo =
-                buildThreeLevelClos(ports, ssc);
-            EXPECT_EQ(topo.nodeCount(),
-                      clos3ChipletCount(ports, radix))
-                << "radix " << radix << ", ports " << ports;
-        }
-    }
 }
 
 } // namespace

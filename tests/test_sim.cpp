@@ -304,6 +304,18 @@ TEST(Network, IdleFabricHasZeroUtilization)
         EXPECT_DOUBLE_EQ(u, 0.0);
 }
 
+TEST(Network, DisconnectedTopologyDiesLoudly)
+{
+    // Two port-bearing routers and no link: validate() accepts the
+    // topology, but no route joins them.
+    topology::LogicalTopology topo("islands", 200.0);
+    const int ssc = topo.addSscType(power::scaledSsc(8, 200.0));
+    topo.addNode(topology::NodeRole::Router, ssc, 4);
+    topo.addNode(topology::NodeRole::Router, ssc, 4);
+    ASSERT_EQ(topo.validate(), "");
+    EXPECT_DEATH(Network(topo, tinySpec(), 3), "disconnected");
+}
+
 TEST(Traffic, PatternsStayInRange)
 {
     Rng rng(23);

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
 
 #include "power/ssc.hpp"
 #include "sim/simulator.hpp"
@@ -317,6 +318,38 @@ TEST(SimDeterminism, ObservabilityNeverPerturbsResults)
     }
 }
 
+/// Forwards to @p inner and samples allocCount() when generation
+/// reaches cycles @p first and @p last.
+class AllocSamplingWorkload : public Workload
+{
+  public:
+    AllocSamplingWorkload(Workload &inner, Cycle first, Cycle last)
+        : inner_(inner), first_(first), last_(last)
+    {}
+
+    void
+    generate(Cycle now, Rng &rng, const EmitPacket &emit) override
+    {
+        if (now == first_)
+            at_first = allocCount();
+        if (now == last_)
+            at_last = allocCount();
+        inner_.generate(now, rng, emit);
+    }
+    bool exhausted(Cycle now) const override { return inner_.exhausted(now); }
+    void packetDelivered(Cycle now) override { inner_.packetDelivered(now); }
+    double offeredLoad() const override { return inner_.offeredLoad(); }
+    std::string name() const override { return inner_.name(); }
+
+    std::uint64_t at_first = 0;
+    std::uint64_t at_last = 0;
+
+  private:
+    Workload &inner_;
+    Cycle first_;
+    Cycle last_;
+};
+
 TEST(SimDeterminismZeroAllocation, SteadyStateCycleLoopIsAllocFree)
 {
     // A stable low-load run: by mid-measurement every pool, ring,
@@ -335,30 +368,26 @@ TEST(SimDeterminismZeroAllocation, SteadyStateCycleLoopIsAllocFree)
     spec.internal_link_latency = 2;
 
     Network net(topo, spec, 7);
-    SyntheticWorkload workload(makeTraffic("uniform", 16), 0.1, 2);
+    SyntheticWorkload synthetic(makeTraffic("uniform", 16), 0.1, 2);
     SimConfig cfg;
     cfg.warmup = 300;
     cfg.measure = 1500;
     cfg.drain_limit = 10000;
     cfg.seed = 42;
-    std::uint64_t at_steady = 0;
-    std::uint64_t at_window_end = 0;
-    cfg.on_cycle = [&](Network &, Cycle now) {
-        if (now == 800)
-            at_steady = allocCount();
-        if (now == 1800)
-            at_window_end = allocCount();
-    };
+    // Cycle 1799 is the last one the measurement window generates.
+    AllocSamplingWorkload workload(synthetic, 800, 1799);
     Simulator simulator(net, workload, cfg);
     const SimResult r = simulator.run();
 
+    const std::uint64_t at_steady = workload.at_first;
+    const std::uint64_t at_window_end = workload.at_last;
     ASSERT_TRUE(r.stable);
     ASSERT_GT(at_steady, 0u);
     ASSERT_GE(at_window_end, at_steady);
     EXPECT_EQ(at_window_end - at_steady, 0u)
         << "the cycle loop heap-allocated "
         << (at_window_end - at_steady)
-        << " times between cycles 800 and 1800";
+        << " times between cycles 800 and 1799";
 }
 
 } // namespace

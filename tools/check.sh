@@ -8,19 +8,16 @@
 #      fault/resilience campaigns, and the observability layer that
 #      rides on both (test_exec + test_sim + test_fault + test_obs via
 #      the `tsan` CMake preset), so every change to the thread pool /
-#      sweep runner / resilience fan-out / metrics merge is
+#      sweep runner / resilience fan-out / profiler merge is
 #      race-checked, and
-#   3. an AddressSanitizer build of the simulator core running the
-#      bit-exact determinism suite (the `asan` preset), so flit-pool
-#      lifetime or ring-buffer indexing bugs introduced by hot-path
-#      work die loudly instead of corrupting results, plus an
+#   3. an AddressSanitizer + UndefinedBehaviorSanitizer build of
+#      everything (the `asan` preset, -fno-sanitize-recover=undefined)
+#      running the whole tier-1 suite, so flit-pool lifetime,
+#      undo-journal indexing, parser bounds bugs and undefined
+#      behaviour die loudly instead of corrupting results, plus an
 #      end-to-end `wss coll --manifest-out` → `wss report` pipeline
-#      under ASan (the reporter parses untrusted CSV/JSON, so its
-#      string handling runs heap-checked); the mapping suite runs
-#      there too, because Algorithm 1's undo journal indexes the edge
-#      loads by logged edge ids, and so does the JSON reader's
-#      mutation corpus (truncated, mutated and hostile documents must
-#      parse or fatal(), never touch memory they should not),
+#      under it (the reporter parses untrusted CSV/JSON, so its
+#      string handling runs heap-checked),
 #   4. a release-preset bench_simcore --smoke, proving the optimized
 #      build still runs every bench point to a stable result (the
 #      perf numbers themselves are tracked in bench_results/), and a
@@ -91,14 +88,16 @@ echo "== tsan: race-checked test run =="
 # Death tests (fork under TSAN) are excluded by the preset filter.
 ctest --preset tsan
 
-echo "== asan: configure + build (test_sim_determinism, test_flow, test_coll, test_obs, test_mapping, test_json, wss) =="
+echo "== asan+ubsan: configure + build (everything) =="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 
-echo "== asan: heap-checked determinism, mapping and JSON suites =="
-# The ZeroAllocation test is excluded by the preset filter: ASan
-# interposes the allocator, which defeats the counting hook.
-ctest --preset asan
+echo "== asan+ubsan: heap- and UB-checked tier-1 suite =="
+# The preset filter excludes death tests (as under tsan), the
+# ZeroAllocation test (ASan interposes the allocator, which defeats
+# the counting hook) and smoke_obs_crash_segv (its helper writes
+# through null on purpose; UBSan stops it before the SIGSEGV).
+ctest --preset asan -j "$JOBS"
 
 echo "== asan: wss report end to end =="
 ASAN_TMP="$(mktemp -d)"
