@@ -21,49 +21,12 @@
  *   (WSS_BENCH_FAST=1 does the same).
  */
 
-#include <cstring>
-
-#include "bench_common.hpp"
-#include "core/radix_solver.hpp"
+#include "bench_design_pair.hpp"
 #include "flow/dcn_campaign.hpp"
-#include "obs/run_manifest.hpp"
-#include "topology/clos.hpp"
-#include "util/artifact.hpp"
-#include "util/json.hpp"
 
 namespace {
 
 using namespace wss;
-
-/// Round @p ports down to a positive multiple of ssc.radix / 2.
-std::int64_t
-alignPorts(std::int64_t ports, int ssc_radix)
-{
-    const std::int64_t half = ssc_radix / 2;
-    return std::max<std::int64_t>(ports / half, 1) * half;
-}
-
-flow::SwitchProfile
-calibrate(const std::string &name, std::int64_t radix,
-          std::int64_t cal_ports, const power::SscConfig &ssc,
-          double power_watts, bool smoke, exec::ThreadPool *pool)
-{
-    flow::CalibrationSpec spec;
-    spec.name = name;
-    spec.ports = alignPorts(cal_ports, ssc.radix);
-    spec.ssc = ssc;
-    spec.rates = sim::geometricRates(0.05, 0.95, smoke ? 3 : 5);
-    spec.sim_cfg.warmup = smoke ? 200 : 1000;
-    spec.sim_cfg.measure = smoke ? 500 : 4000;
-    spec.sim_cfg.drain_limit = smoke ? 3000 : 20000;
-    spec.sim_cfg.seed =
-        static_cast<std::uint64_t>(bench::envInt("WSS_BENCH_SEED", 1));
-    spec.power_watts = power_watts;
-    flow::SwitchProfile profile =
-        flow::calibrateSwitchProfile(spec, pool);
-    profile.radix = radix;
-    return profile;
-}
 
 void
 designLine(const flow::SwitchProfile &p)
@@ -83,69 +46,29 @@ int
 main(int argc, char **argv)
 {
     using namespace wss;
-    bool smoke = bench::fastMode();
-    const char *json_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else
-            fatal("bench_dcn: unknown argument '", argv[i],
-                  "' (--smoke | --json PATH)");
-    }
+    const bench::PairArgs args(argc, argv, "bench_dcn");
 
     bench::banner("DCN",
                   "flow-level waferscale vs conventional fat-tree: "
                   "FCT tails, hops, power");
 
     exec::ThreadPool pool(bench::benchJobs());
-
-    // Waferscale design: solver-sized on the paper's 300 mm design
-    // point; the conventional baseline is a 64 x 200G pizza box
-    // built from the same chiplet family.
-    core::DesignSpec spec = bench::paperSpec(
-        300.0, tech::siIf2x(), tech::opticalIo());
-    spec.mapping_restarts = bench::envInt("WSS_BENCH_RESTARTS", 2);
-    const auto solved = core::RadixSolver(spec).solveMaxPorts();
-    if (solved.best.ports == 0)
-        fatal("bench_dcn: solver found no feasible design");
-    const std::int64_t ws_ports =
-        alignPorts(solved.best.ports, spec.ssc.radix);
-
-    const power::SscConfig conv_ssc =
-        power::scaledSsc(32, spec.ssc.line_rate);
-    constexpr std::int64_t kConvPorts = 64;
-    const double conv_power =
-        static_cast<double>(
-            topology::closChipletCount(kConvPorts, conv_ssc.radix)) *
-            conv_ssc.core_power +
-        power::externalIoPower(kConvPorts, conv_ssc.line_rate,
-                               tech::serdes());
-
-    const std::int64_t cal_cap = smoke ? 128 : 512;
-    const flow::SwitchProfile ws = calibrate(
-        "ws-" + std::to_string(ws_ports), ws_ports,
-        std::min(ws_ports, cal_cap), spec.ssc,
-        solved.best.power.total(), smoke, &pool);
-    const flow::SwitchProfile conv = calibrate(
-        "conv-64", kConvPorts, kConvPorts, conv_ssc, conv_power,
-        smoke, &pool);
+    const bench::DesignPair pair =
+        bench::calibrateDesignPair("bench_dcn", args, &pool);
     std::cout << "calibrated designs:\n";
-    designLine(ws);
-    designLine(conv);
+    designLine(pair.ws);
+    designLine(pair.conv);
     std::cout << "\n";
 
     flow::DcnCampaignConfig cfg;
-    cfg.designs = {ws, conv};
+    cfg.designs = {pair.ws, pair.conv};
     cfg.kind = flow::DcnKind::FatTree;
-    cfg.hosts = smoke ? 128 : 256;
+    cfg.hosts = args.smoke ? 128 : 256;
     cfg.workloads = {flow::workloadByName("websearch"),
                      flow::workloadByName("hadoop")};
     cfg.loads = {0.3, 0.7};
-    cfg.flows_per_cell = smoke ? 2000 : 100000;
-    cfg.seed =
-        static_cast<std::uint64_t>(bench::envInt("WSS_BENCH_SEED", 1));
+    cfg.flows_per_cell = args.smoke ? 2000 : 100000;
+    cfg.seed = args.seed;
     const flow::DcnResult result = flow::DcnCampaign(cfg).run(&pool);
 
     Table table("Fat-tree comparison (" + Table::num(cfg.hosts) +
@@ -167,43 +90,22 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    if (json_path) {
-        util::writeArtifactFile(
-            json_path, "bench_dcn", [&](std::ostream &os) {
-                util::JsonWriter json(os);
-                json.beginObject(util::JsonWriter::kLines)
-                    .field("bench", "dcn").field("smoke", smoke)
-                    .field("ws_design", ws.name).field("conv_design", conv.name)
-                    .key("campaign");
-                result.writeJson(json);
-                json.end();
-            });
-        inform("DCN JSON written to ", json_path);
-
-        // Provenance sibling: bench_compare.py refuses to diff two
-        // reports whose manifests disagree on configuration.
-        std::string workloads, loads;
-        for (const auto &w : cfg.workloads)
-            workloads += (workloads.empty() ? "" : ",") + w.name;
-        for (double l : cfg.loads)
-            loads += (loads.empty() ? "" : ",") + Table::num(l, 2);
-        obs::RunManifest manifest("bench_dcn");
-        manifest.setConfig("smoke", smoke ? "true" : "false");
-        manifest.setConfig("hosts", cfg.hosts);
-        manifest.setConfig("flows_per_cell", cfg.flows_per_cell);
-        manifest.setConfig("ws_design", ws.name);
-        manifest.setConfig("conv_design", conv.name);
-        manifest.setConfig("workloads", workloads);
-        manifest.setConfig("loads", loads);
-        manifest.setSeed(cfg.seed);
-        manifest.setJobs(result.threads);
-        manifest.addArtifact(json_path, "bench-json");
-        manifest.addPhaseSeconds("campaign", result.wall_seconds);
-        const std::string manifest_path =
-            std::string(json_path) + ".manifest.json";
-        manifest.writeJsonFile(manifest_path);
-        inform("DCN manifest written to ", manifest_path);
-    }
+    std::string workloads, loads;
+    for (const auto &w : cfg.workloads)
+        workloads += (workloads.empty() ? "" : ",") + w.name;
+    for (double l : cfg.loads)
+        loads += (loads.empty() ? "" : ",") + Table::num(l, 2);
+    obs::RunManifest manifest("bench_dcn");
+    manifest.setConfig("hosts", cfg.hosts);
+    manifest.setConfig("flows_per_cell", cfg.flows_per_cell);
+    manifest.setConfig("workloads", workloads);
+    manifest.setConfig("loads", loads);
+    bench::writePairArtifacts(
+        "dcn", "DCN", args, pair, std::move(manifest), result.threads,
+        result.wall_seconds, [&](util::JsonWriter &json) {
+            json.key("campaign");
+            result.writeJson(json);
+        });
 
     std::cout << "\n[campaign] " << result.cells.size()
               << " cells on " << result.threads << " threads, wall "

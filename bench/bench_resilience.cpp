@@ -14,6 +14,7 @@
 
 #include "bench_common.hpp"
 #include "fault/resilience.hpp"
+#include "util/artifact.hpp"
 
 int
 main()
@@ -59,11 +60,15 @@ main()
     table.print(std::cout);
 
     if (const char *path = std::getenv("WSS_BENCH_CSV")) {
-        result.writeCsvFile(path);
+        util::writeArtifactFile(path, "resilience", [&](std::ostream &os) {
+            result.writeCsv(os);
+        });
         inform("resilience CSV written to ", path);
     }
     if (const char *path = std::getenv("WSS_BENCH_JSON")) {
-        result.writeJsonFile(path);
+        util::writeArtifactFile(path, "resilience", [&](std::ostream &os) {
+            result.writeJson(os);
+        });
         inform("resilience JSON written to ", path);
     }
 

@@ -6,7 +6,6 @@
 
 #include "exec/campaign.hpp"
 #include "flow/dcn_topology.hpp"
-#include "util/artifact.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
@@ -77,43 +76,35 @@ CollCampaign::run(exec::ThreadPool *pool, obs::TraceEventSink *trace,
                   obs::Profiler *profiler) const
 {
     const auto &cfg = config_;
-    const std::size_t n_d = cfg.designs.size();
-    const std::size_t n_c = cfg.collectives.size();
-    const std::size_t n_p = cfg.payload_bytes.size();
+    const auto grid = shape();
+    return exec::runGrid<CollResult>(
+        grid,
+        [&](std::size_t index) {
+            const auto [di, ci, pi] = exec::gridAxes(index, grid);
+            std::ostringstream name;
+            name << cfg.designs[di].name << "/"
+                 << toString(cfg.collectives[ci].collective) << "/"
+                 << toString(cfg.collectives[ci].algorithm)
+                 << "/b=" << cfg.payload_bytes[pi];
+            return name.str();
+        },
+        [this](std::size_t index) { return runCell(index); }, pool,
+        trace, profiler);
+}
 
-    CollResult result;
-    result.cells.resize(n_d * n_c * n_p);
-
-    exec::Campaign campaign;
-    for (std::size_t di = 0; di < n_d; ++di)
-        for (std::size_t ci = 0; ci < n_c; ++ci)
-            for (std::size_t pi = 0; pi < n_p; ++pi) {
-                const std::size_t slot = (di * n_c + ci) * n_p + pi;
-                CollCellResult *out = &result.cells[slot];
-                std::ostringstream name;
-                name << cfg.designs[di].name << "/"
-                     << toString(cfg.collectives[ci].collective) << "/"
-                     << toString(cfg.collectives[ci].algorithm)
-                     << "/b=" << cfg.payload_bytes[pi];
-                campaign.addTask(name.str(), [this, di, ci, pi, out] {
-                    *out = runCell(di, ci, pi);
-                });
-            }
-
-    const exec::CampaignResult campaign_result =
-        campaign.run(pool, trace, profiler);
-    result.wall_seconds = campaign_result.wall_seconds;
-    result.threads = campaign_result.threads;
-    for (std::size_t i = 0; i < result.cells.size(); ++i)
-        result.cells[i].seconds = campaign_result.jobs[i].seconds;
-    return result;
+std::array<std::size_t, 3>
+CollCampaign::shape() const
+{
+    return {config_.designs.size(), config_.collectives.size(),
+            config_.payload_bytes.size()};
 }
 
 CollCellResult
-CollCampaign::runCell(std::size_t di, std::size_t ci,
-                      std::size_t pi) const
+CollCampaign::runCell(std::size_t index,
+                      const CollExecConfig &exec_cfg) const
 {
     const auto &cfg = config_;
+    const auto [di, ci, pi] = exec::gridAxes(index, shape());
     const flow::SwitchProfile &profile = cfg.designs[di];
     const double payload = cfg.payload_bytes[pi];
 
@@ -134,9 +125,9 @@ CollCampaign::runCell(std::size_t di, std::size_t ci,
     cell.tiers = topo.tiers();
     cell.hops = topo.worstCaseHops();
 
-    CollExecConfig exec_cfg;
-    exec_cfg.fault = cfg.fault;
-    cell.flow = executeOnDcn(schedule, payload, topo, profile, exec_cfg);
+    CollExecConfig run_cfg = exec_cfg;
+    run_cfg.fault = cfg.fault;
+    cell.flow = executeOnDcn(schedule, payload, topo, profile, run_cfg);
     cell.model = executeAlphaBeta(
         schedule, payload,
         alphaBetaOf(profile, topo.lineRateGbps(), cell.hops));
@@ -204,20 +195,6 @@ CollResult::writeJson(std::ostream &os) const
             .field("model_busbw_gbps", c.model.busbw_gbps)
             .field("seconds", c.seconds).end();
     json.end().end();
-}
-
-void
-CollResult::writeCsvFile(const std::string &path) const
-{
-    util::writeArtifactFile(path, "CollResult",
-                            [this](std::ostream &os) { writeCsv(os); });
-}
-
-void
-CollResult::writeJsonFile(const std::string &path) const
-{
-    util::writeArtifactFile(path, "CollResult",
-                            [this](std::ostream &os) { writeJson(os); });
 }
 
 } // namespace wss::coll

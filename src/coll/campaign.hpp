@@ -6,7 +6,7 @@
  * a conventional leaf-spine — with every cell cross-checked against
  * the closed-form alpha-beta model.
  *
- * Execution rides exec::Campaign exactly like DcnCampaign: one task
+ * Execution is exec::runGrid, exactly like DcnCampaign: one task
  * per cell into a preallocated slot, no randomness in the engine, so
  * the CSV artifact is byte-identical at any --jobs value
  * (ctest-asserted).
@@ -15,6 +15,7 @@
 #ifndef WSS_COLL_CAMPAIGN_HPP
 #define WSS_COLL_CAMPAIGN_HPP
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -58,9 +59,6 @@ struct CollCampaignConfig
     std::vector<double> payload_bytes = {1 << 20};
     /// Optional mid-collective fault applied in every cell.
     CollFaultSpec fault;
-    /// Provenance only — the engine is deterministic; recorded in
-    /// the CSV header so artifacts state their full configuration.
-    std::uint64_t seed = 1;
 };
 
 /// One (design, collective, payload) cell.
@@ -95,10 +93,6 @@ struct CollResult
     void writeCsv(std::ostream &os) const;
     /// Full-precision nested summary, including timing.
     void writeJson(std::ostream &os) const;
-
-    /// Flush-checked file counterparts (fatal on I/O error).
-    void writeCsvFile(const std::string &path) const;
-    void writeJsonFile(const std::string &path) const;
 };
 
 /**
@@ -117,11 +111,18 @@ class CollCampaign
                    obs::TraceEventSink *trace = nullptr,
                    obs::Profiler *profiler = nullptr) const;
 
-    const CollCampaignConfig &config() const { return config_; }
+    /// Compute cell @p index (flat, payload fastest, then
+    /// collective, then design; fatal past the grid) with the
+    /// campaign's fault, executed under @p exec_cfg (whose own fault
+    /// is ignored). run() calls this with the default config; the
+    /// observers set there (telemetry, metrics, trace, profiler)
+    /// never change the results.
+    CollCellResult runCell(std::size_t index,
+                           const CollExecConfig &exec_cfg = {}) const;
 
   private:
-    CollCellResult runCell(std::size_t di, std::size_t ci,
-                           std::size_t pi) const;
+    /// {designs, collectives, payloads}: the grid's axis lengths.
+    std::array<std::size_t, 3> shape() const;
 
     CollCampaignConfig config_;
 };

@@ -168,6 +168,15 @@ executeOnDcn(const Schedule &schedule, double payload_bytes,
         fatal("executeOnDcn: ", schedule.ranks, "-rank ",
               schedule.name(), " needs ", schedule.ranks,
               " hosts but the topology has ", topo.hostCount());
+    if (cfg.fault.at_step >= 0) {
+        const auto count = static_cast<int>(
+            cfg.fault.kill_switch ? topo.switchCount()
+                                  : topo.links().size());
+        if (cfg.fault.id < 0 || cfg.fault.id >= count)
+            fatal("executeOnDcn: fault id ", cfg.fault.id,
+                  " is out of range: ", topo.name(), " has ", count,
+                  cfg.fault.kill_switch ? " switches" : " trunks");
+    }
 
     obs::ScopedPhase exec_phase(cfg.profiler, "coll-dcn");
     // Step spans and fault instants are in simulated time: they get

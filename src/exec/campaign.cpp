@@ -268,6 +268,16 @@ Campaign::run(ThreadPool *pool, obs::TraceEventSink *trace,
     return result;
 }
 
+std::array<std::size_t, 3>
+gridAxes(std::size_t index, const std::array<std::size_t, 3> &shape)
+{
+    if (index >= shape[0] * shape[1] * shape[2])
+        fatal("grid cell ", index, " is out of range (", shape[0], " x ",
+              shape[1], " x ", shape[2], " cells)");
+    return {index / (shape[1] * shape[2]), index / shape[2] % shape[1],
+            index % shape[2]};
+}
+
 void
 CampaignResult::writeCsv(std::ostream &os) const
 {

@@ -21,6 +21,7 @@
 #ifndef WSS_EXEC_CAMPAIGN_HPP
 #define WSS_EXEC_CAMPAIGN_HPP
 
+#include <array>
 #include <functional>
 #include <iosfwd>
 #include <optional>
@@ -118,6 +119,43 @@ class Campaign
 
     std::vector<Entry> entries_;
 };
+
+/// Flat grid index -> its index on each axis of a @p shape[0] x
+/// shape[1] x shape[2] grid, the last axis varying fastest. Fatal
+/// when @p index is past the grid.
+std::array<std::size_t, 3> gridAxes(std::size_t index,
+                                    const std::array<std::size_t, 3> &shape);
+
+/**
+ * The fan-out of a grid campaign (DCN, collective, resilience): run
+ * each cell of a @p shape grid as one Campaign task, in flat index
+ * order (gridAxes() decodes an index). Cell i is named name(i) (its
+ * trace span and its "campaign/<name>" profiler phase) and stores
+ * body(i) into result.cells[i]. Once the barrier has passed, the
+ * result's wall_seconds, threads and each cell's seconds are filled
+ * in from the campaign's timing.
+ */
+template <class Result, class Name, class Body>
+Result
+runGrid(const std::array<std::size_t, 3> &shape, const Name &name,
+        const Body &body, ThreadPool *pool, obs::TraceEventSink *trace,
+        obs::Profiler *profiler)
+{
+    const std::size_t count = shape[0] * shape[1] * shape[2];
+    Result result;
+    result.cells.resize(count);
+    Campaign campaign;
+    for (std::size_t i = 0; i < count; ++i)
+        campaign.addTask(name(i), [&result, &body, i] {
+            result.cells[i] = body(i);
+        });
+    const CampaignResult timing = campaign.run(pool, trace, profiler);
+    result.wall_seconds = timing.wall_seconds;
+    result.threads = timing.threads;
+    for (std::size_t i = 0; i < count; ++i)
+        result.cells[i].seconds = timing.jobs[i].seconds;
+    return result;
+}
 
 } // namespace wss::exec
 

@@ -1,5 +1,6 @@
 #include "fault/resilience.hpp"
 
+#include <array>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -9,7 +10,6 @@
 #include "sim/traffic.hpp"
 #include "sim/workload.hpp"
 #include "topology/clos.hpp"
-#include "util/artifact.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/seed.hpp"
@@ -74,60 +74,40 @@ ResilienceCampaign::run(exec::ThreadPool *pool,
                         obs::Profiler *profiler) const
 {
     const auto &cfg = config_;
-    const std::size_t n_r = cfg.radices.size();
-    const std::size_t n_d = cfg.defect_densities.size();
-    const std::size_t n_s = cfg.spare_counts.size();
-
-    ResilienceResult result;
-    result.cells.resize(n_r * n_d * n_s);
-
-    // One campaign task per (radix, density, spares) cell, writing a
-    // preallocated slot. The defect-map seed depends only on the
-    // (radix, density) pair, so cells along the spare axis repair the
-    // *same* sampled maps — survival is monotone in spares by
-    // construction, not just in expectation.
-    exec::Campaign campaign;
-    for (std::size_t ri = 0; ri < n_r; ++ri) {
-        for (std::size_t di = 0; di < n_d; ++di) {
-            const std::uint64_t map_seed =
-                deriveSeed(deriveSeed(cfg.seed, ri + 1), di + 1);
-            for (std::size_t si = 0; si < n_s; ++si) {
-                const std::size_t slot = (ri * n_d + di) * n_s + si;
-                ResilienceCellResult *out = &result.cells[slot];
-                std::ostringstream name;
-                name << "clos(" << cfg.radices[ri] << ","
-                     << cfg.ssc.radix << ")/d="
-                     << cfg.defect_densities[di]
-                     << "/s=" << cfg.spare_counts[si];
-                campaign.addTask(name.str(), [this, ri, di, si,
-                                              map_seed, out] {
-                    *out = runCell(static_cast<int>(ri),
-                                   static_cast<int>(di),
-                                   static_cast<int>(si), map_seed);
-                });
-            }
-        }
-    }
-
-    const exec::CampaignResult campaign_result =
-        campaign.run(pool, trace, profiler);
-    result.wall_seconds = campaign_result.wall_seconds;
-    result.threads = campaign_result.threads;
-    for (std::size_t i = 0; i < result.cells.size(); ++i)
-        result.cells[i].seconds = campaign_result.jobs[i].seconds;
-    return result;
+    const std::array<std::size_t, 3> grid{cfg.radices.size(),
+                                          cfg.defect_densities.size(),
+                                          cfg.spare_counts.size()};
+    return exec::runGrid<ResilienceResult>(
+        grid,
+        [&](std::size_t index) {
+            const auto [ri, di, si] = exec::gridAxes(index, grid);
+            std::ostringstream name;
+            name << "clos(" << cfg.radices[ri] << "," << cfg.ssc.radix
+                 << ")/d=" << cfg.defect_densities[di]
+                 << "/s=" << cfg.spare_counts[si];
+            return name.str();
+        },
+        [&](std::size_t index) {
+            // The defect-map seed depends only on the (radix, density)
+            // pair, so cells along the spare axis repair the *same*
+            // sampled maps — survival is monotone in spares by
+            // construction, not just in expectation.
+            const auto [ri, di, si] = exec::gridAxes(index, grid);
+            return runCell(
+                ri, di, si,
+                deriveSeed(deriveSeed(cfg.seed, ri + 1), di + 1));
+        },
+        pool, trace, profiler);
 }
 
 ResilienceCellResult
-ResilienceCampaign::runCell(int ri, int di, int si,
-                            std::uint64_t map_seed) const
+ResilienceCampaign::runCell(std::size_t ri, std::size_t di,
+                            std::size_t si, std::uint64_t map_seed) const
 {
     const auto &cfg = config_;
-    const std::int64_t ports =
-        cfg.radices[static_cast<std::size_t>(ri)];
-    const double density =
-        cfg.defect_densities[static_cast<std::size_t>(di)];
-    const int spares = cfg.spare_counts[static_cast<std::size_t>(si)];
+    const std::int64_t ports = cfg.radices[ri];
+    const double density = cfg.defect_densities[di];
+    const int spares = cfg.spare_counts[si];
 
     const topology::LogicalTopology topo =
         topology::buildFoldedClos({ports, cfg.ssc, 1});
@@ -282,22 +262,6 @@ ResilienceResult::writeJson(std::ostream &os) const
                    c.mean_degraded_throughput)
             .field("seconds", c.seconds).end();
     json.end().end();
-}
-
-void
-ResilienceResult::writeCsvFile(const std::string &path) const
-{
-    util::writeArtifactFile(
-        path, "ResilienceResult",
-        [this](std::ostream &os) { writeCsv(os); });
-}
-
-void
-ResilienceResult::writeJsonFile(const std::string &path) const
-{
-    util::writeArtifactFile(
-        path, "ResilienceResult",
-        [this](std::ostream &os) { writeJson(os); });
 }
 
 } // namespace wss::fault

@@ -133,11 +133,6 @@ struct ResilienceResult
     void writeCsv(std::ostream &os) const;
     /// Full-precision nested summary, including timing.
     void writeJson(std::ostream &os) const;
-
-    /// Flush-checked file counterparts (fatal on I/O error, after
-    /// everything writable has reached the file).
-    void writeCsvFile(const std::string &path) const;
-    void writeJsonFile(const std::string &path) const;
 };
 
 /**
@@ -156,12 +151,11 @@ class ResilienceCampaign
                          obs::TraceEventSink *trace = nullptr,
                          obs::Profiler *profiler = nullptr) const;
 
-    const ResilienceConfig &config() const { return config_; }
-
   private:
     /// Compute one (radix, density, spares) cell; @p map_seed is the
     /// shared-by-spares defect-map seed of its (radix, density) pair.
-    ResilienceCellResult runCell(int ri, int di, int si,
+    ResilienceCellResult runCell(std::size_t ri, std::size_t di,
+                                 std::size_t si,
                                  std::uint64_t map_seed) const;
 
     ResilienceConfig config_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "exec/campaign.hpp"
-#include "util/artifact.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/seed.hpp"
@@ -47,47 +46,35 @@ DcnCampaign::run(exec::ThreadPool *pool, obs::TraceEventSink *trace,
                  obs::Profiler *profiler) const
 {
     const auto &cfg = config_;
-    const std::size_t n_d = cfg.designs.size();
-    const std::size_t n_w = cfg.workloads.size();
-    const std::size_t n_l = cfg.loads.size();
+    const auto grid = shape();
+    return exec::runGrid<DcnResult>(
+        grid,
+        [&](std::size_t index) {
+            const auto [di, wi, li] = exec::gridAxes(index, grid);
+            std::ostringstream name;
+            name << cfg.designs[di].name << "/" << cfg.workloads[wi].name
+                 << "/l=" << cfg.loads[li];
+            return name.str();
+        },
+        [this](std::size_t index) { return runCell(index); }, pool,
+        trace, profiler);
+}
 
-    DcnResult result;
-    result.cells.resize(n_d * n_w * n_l);
-
-    exec::Campaign campaign;
-    for (std::size_t di = 0; di < n_d; ++di)
-        for (std::size_t wi = 0; wi < n_w; ++wi)
-            for (std::size_t li = 0; li < n_l; ++li) {
-                const std::size_t slot = (di * n_w + wi) * n_l + li;
-                const std::uint64_t cell_seed =
-                    deriveSeed(cfg.seed, slot + 1);
-                DcnCellResult *out = &result.cells[slot];
-                std::ostringstream name;
-                name << cfg.designs[di].name << "/"
-                     << cfg.workloads[wi].name
-                     << "/l=" << cfg.loads[li];
-                campaign.addTask(name.str(),
-                                 [this, di, wi, li, cell_seed, out] {
-                                     *out = runCell(di, wi, li,
-                                                    cell_seed);
-                                 });
-            }
-
-    const exec::CampaignResult campaign_result =
-        campaign.run(pool, trace, profiler);
-    result.wall_seconds = campaign_result.wall_seconds;
-    result.threads = campaign_result.threads;
-    for (std::size_t i = 0; i < result.cells.size(); ++i)
-        result.cells[i].seconds = campaign_result.jobs[i].seconds;
-    return result;
+std::array<std::size_t, 3>
+DcnCampaign::shape() const
+{
+    return {config_.designs.size(), config_.workloads.size(),
+            config_.loads.size()};
 }
 
 DcnCellResult
-DcnCampaign::runCell(std::size_t di, std::size_t wi, std::size_t li,
-                     std::uint64_t cell_seed) const
+DcnCampaign::runCell(std::size_t index,
+                     const FlowSimConfig &sim_cfg) const
 {
     const auto &cfg = config_;
+    const auto [di, wi, li] = exec::gridAxes(index, shape());
     const SwitchProfile &profile = cfg.designs[di];
+    const std::uint64_t cell_seed = deriveSeed(cfg.seed, index + 1);
 
     DcnTopology topo =
         DcnTopology::build(cfg.kind, cfg.hosts,
@@ -123,7 +110,7 @@ DcnCampaign::runCell(std::size_t di, std::size_t wi, std::size_t li,
     cell.worst_hops = topo.worstCaseHops();
     cell.power_kw = static_cast<double>(topo.switchCount()) *
                     profile.power_watts / 1000.0;
-    cell.sim = simulateFlows(topo, profile, flows, faults);
+    cell.sim = simulateFlows(topo, profile, flows, faults, sim_cfg);
     return cell;
 }
 
@@ -207,20 +194,6 @@ DcnResult::writeJson(util::JsonWriter &json) const
             .field("seconds", c.seconds).end();
     }
     json.end().end();
-}
-
-void
-DcnResult::writeCsvFile(const std::string &path) const
-{
-    util::writeArtifactFile(path, "DcnResult",
-                            [this](std::ostream &os) { writeCsv(os); });
-}
-
-void
-DcnResult::writeJsonFile(const std::string &path) const
-{
-    util::writeArtifactFile(path, "DcnResult",
-                            [this](std::ostream &os) { writeJson(os); });
 }
 
 } // namespace wss::flow

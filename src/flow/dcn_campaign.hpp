@@ -11,15 +11,16 @@
  * hops, power) and what only a simulator can produce — FCT and
  * slowdown tails under contention, incast and faults.
  *
- * Execution rides the PR-1 engine: one exec::Campaign task per cell
+ * Execution is exec::runGrid: one exec::Campaign task per cell
  * writing a preallocated slot, all randomness derived per cell from
  * (seed, cell index) — so the CSV artifact is byte-identical at any
- * --jobs value.
+ * --jobs value, and runCell() recomputes any one cell on its own.
  */
 
 #ifndef WSS_FLOW_DCN_CAMPAIGN_HPP
 #define WSS_FLOW_DCN_CAMPAIGN_HPP
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -100,10 +101,6 @@ struct DcnResult
     void writeJson(std::ostream &os) const;
     /// The same object written as the next value of @p json.
     void writeJson(util::JsonWriter &json) const;
-
-    /// Flush-checked file counterparts (fatal on I/O error).
-    void writeCsvFile(const std::string &path) const;
-    void writeJsonFile(const std::string &path) const;
 };
 
 /**
@@ -122,12 +119,17 @@ class DcnCampaign
                   obs::TraceEventSink *trace = nullptr,
                   obs::Profiler *profiler = nullptr) const;
 
-    const DcnCampaignConfig &config() const { return config_; }
+    /// Compute cell @p index (flat, load fastest, then workload,
+    /// then design; fatal past the grid) with its own seed-derived
+    /// flows and faults, simulated under @p sim_cfg. run() calls
+    /// this with the default config; the observers set there
+    /// (telemetry, trace, profiler) never change the results.
+    DcnCellResult runCell(std::size_t index,
+                          const FlowSimConfig &sim_cfg = {}) const;
 
   private:
-    DcnCellResult runCell(std::size_t di, std::size_t wi,
-                          std::size_t li,
-                          std::uint64_t cell_seed) const;
+    /// {designs, workloads, loads}: the grid's axis lengths.
+    std::array<std::size_t, 3> shape() const;
 
     DcnCampaignConfig config_;
 };

@@ -185,7 +185,7 @@ keyIndex(const std::string &key)
 struct CrashThreadView
 {
     std::string label;
-    double events_recorded = 0;
+    std::int64_t events_recorded = 0;
     std::int64_t open_phase_depth = 0;
     std::vector<std::string> open_phases;
     struct Event
@@ -245,7 +245,7 @@ parseCrashReport(const std::string &path)
     for (const util::JsonValue &t : threads->asArray("crash threads")) {
         CrashThreadView tv;
         tv.label = t.stringOr("label", "?");
-        tv.events_recorded = t.numberOr("events_recorded", 0);
+        tv.events_recorded = t.integerOr("events_recorded", 0);
         tv.open_phase_depth = t.integerOr("open_phase_depth", 0);
         if (const util::JsonValue *phases = t.find("open_phases"))
             for (const util::JsonValue &p :
@@ -666,8 +666,7 @@ buildRunReport(const ReportOptions &opts)
         }
         for (const CrashThreadView &t : crash.threads) {
             md << "### Thread " << t.label << "\n\n";
-            md << "- events recorded: "
-               << static_cast<long long>(t.events_recorded) << "\n";
+            md << "- events recorded: " << t.events_recorded << "\n";
             md << "- open phases: ";
             if (t.open_phases.empty()) {
                 md << "(none)";

@@ -1,5 +1,6 @@
 #include "topology/clos.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "util/logging.hpp"
@@ -71,6 +72,15 @@ buildFoldedClos(const ClosSpec &spec)
     if (!issue.empty())
         panic("buildFoldedClos produced an invalid topology: ", issue);
     return topo;
+}
+
+std::int64_t
+alignClosPorts(std::int64_t ports, int ssc_radix)
+{
+    const std::int64_t half = ssc_radix / 2;
+    if (half < 1)
+        fatal("alignClosPorts: SSC radix must be >= 2, got ", ssc_radix);
+    return std::max<std::int64_t>(ports / half, 1) * half;
 }
 
 std::int64_t

@@ -48,6 +48,11 @@ struct ClosSpec
  */
 LogicalTopology buildFoldedClos(const ClosSpec &spec);
 
+/// Round @p ports down to a multiple of @p ssc_radix / 2, the port
+/// granularity buildFoldedClos() accepts; a count below one such
+/// multiple becomes one.
+std::int64_t alignClosPorts(std::int64_t ports, int ssc_radix);
+
 /**
  * Number of chiplets a folded Clos of @p total_ports needs with
  * radix-@p ssc_radix sub-switches: 3N/k (Table VI), exact for any N

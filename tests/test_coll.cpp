@@ -402,6 +402,31 @@ TEST(CollExec, FlowCollectiveAndFaultEventsUseAllocatedTracks)
     EXPECT_EQ(seen["fault"], 2);
 }
 
+TEST(CollExec, FaultIdOutOfRangeDiesLoudly)
+{
+    // A 1-tier fat tree: one switch, no trunk to kill.
+    const flow::SwitchProfile profile = testProfile("t", 64);
+    const Schedule s = allReduceSchedule(Algorithm::Ring, 8);
+    CollExecConfig trunk;
+    trunk.fault.at_step = 2;
+    trunk.fault.kill_switch = false;
+    flow::DcnTopology topo =
+        flow::DcnTopology::buildFatTree(8, 64, 200.0);
+    ASSERT_EQ(topo.switchCount(), 1);
+    ASSERT_TRUE(topo.links().empty());
+    EXPECT_DEATH(executeOnDcn(s, 1024.0, topo, profile, trunk),
+                 "fault id 0 is out of range: .* has 0 trunks");
+
+    CollExecConfig sw;
+    sw.fault.at_step = 0;
+    sw.fault.id = topo.switchCount();
+    EXPECT_DEATH(executeOnDcn(s, 1024.0, topo, profile, sw),
+                 "fault id 1 is out of range: .* has 1 switches");
+    sw.fault.id = -1;
+    EXPECT_DEATH(executeOnDcn(s, 1024.0, topo, profile, sw),
+                 "fault id -1 is out of range");
+}
+
 TEST(CollExec, RejectsUndersizedTopology)
 {
     const flow::SwitchProfile profile = testProfile("t", 64);
@@ -550,7 +575,6 @@ smallCampaign()
     cfg.designs = {testProfile("ws-512", 512), testProfile("conv", 8)};
     cfg.ranks = 8;
     cfg.payload_bytes = {1 << 12, 1 << 16};
-    cfg.seed = 3;
     return cfg;
 }
 
@@ -591,6 +615,40 @@ TEST(CollCampaign, CellsCoverTheGridAndCrossCheck)
     }
 }
 
+TEST(CollCampaign, ObservedCellIsCampaignCell)
+{
+    // runCell(0, observers) is the cell run() stored — the campaign's
+    // fault included — with telemetry added.
+    CollCampaignConfig cfg = smallCampaign();
+    cfg.designs = {testProfile("conv", 8), testProfile("ws-512", 512)};
+    cfg.ranks = 16;
+    cfg.fault.at_step = 1;
+    cfg.fault.id = 0;
+    const CollCampaign campaign(cfg);
+    const CollCellResult ran = campaign.run(nullptr).cells[0];
+    ASSERT_GT(ran.flow.failed_messages, 0);
+
+    obs::TraceEventSink trace;
+    obs::MetricsRegistry metrics;
+    CollExecConfig exec_cfg;
+    exec_cfg.telemetry = true;
+    exec_cfg.trace = &trace;
+    exec_cfg.metrics = &metrics;
+    const CollCellResult observed = campaign.runCell(0, exec_cfg);
+    ASSERT_TRUE(observed.flow.telemetry);
+    EXPECT_FALSE(ran.flow.telemetry);
+    EXPECT_EQ(observed.collective, ran.collective);
+    EXPECT_EQ(observed.topology, ran.topology);
+    EXPECT_EQ(observed.flow.seconds, ran.flow.seconds);
+    EXPECT_EQ(observed.flow.algbw_gbps, ran.flow.algbw_gbps);
+    EXPECT_EQ(observed.flow.busbw_gbps, ran.flow.busbw_gbps);
+    EXPECT_EQ(observed.flow.steps, ran.flow.steps);
+    EXPECT_EQ(observed.flow.messages, ran.flow.messages);
+    EXPECT_EQ(observed.flow.bytes_on_wire, ran.flow.bytes_on_wire);
+    EXPECT_EQ(observed.flow.failed_messages, ran.flow.failed_messages);
+    EXPECT_EQ(observed.model.seconds, ran.model.seconds);
+}
+
 TEST(CollCampaign, RejectsBadConfigs)
 {
     CollCampaignConfig empty = smallCampaign();
@@ -607,6 +665,10 @@ TEST(CollCampaign, RejectsBadConfigs)
     CollCampaignConfig odd = smallCampaign();
     odd.ranks = 6;
     EXPECT_DEATH(CollCampaign{odd}, "power-of-two");
+    // 2 designs x 4 collectives x 2 payloads: index 16 is past the
+    // grid.
+    EXPECT_DEATH(CollCampaign(smallCampaign()).runCell(16),
+                 "out of range");
 }
 
 TEST(CollCampaign, UnsupportedSpecDiesLoudly)

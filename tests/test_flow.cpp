@@ -1072,6 +1072,48 @@ TEST(FlowCampaign, FieldFailuresKillSwitchesMidRun)
     EXPECT_EQ(cell.sim.completed + cell.sim.failed, cell.sim.started);
 }
 
+TEST(FlowCampaign, ObservedCellIsCampaignCell)
+{
+    // runCell(0, observers) is the cell run() stored — same flows,
+    // same sampled field failures — with telemetry added.
+    DcnCampaignConfig cfg = smallCampaign();
+    cfg.designs = {testProfile("conv", 8), testProfile("ws-512", 512)};
+    cfg.fault_model.node_field_failure = 0.5;
+    const DcnCampaign campaign(cfg);
+    const FlowSimResult ran = campaign.run(nullptr).cells[0].sim;
+    ASSERT_GT(ran.fault_events, 0);
+
+    obs::Profiler profiler;
+    obs::TraceEventSink trace;
+    FlowSimConfig obs_cfg;
+    obs_cfg.profiler = &profiler;
+    obs_cfg.trace = &trace;
+    obs_cfg.telemetry_window_s = ran.duration_s / 24.0;
+    const DcnCellResult observed = campaign.runCell(0, obs_cfg);
+    const FlowSimResult &sim = observed.sim;
+    ASSERT_TRUE(sim.telemetry);
+    EXPECT_FALSE(ran.telemetry);
+    EXPECT_EQ(observed.design, "conv");
+    EXPECT_EQ(sim.started, ran.started);
+    EXPECT_EQ(sim.completed, ran.completed);
+    EXPECT_EQ(sim.failed, ran.failed);
+    EXPECT_EQ(sim.rerouted, ran.rerouted);
+    EXPECT_EQ(sim.fault_events, ran.fault_events);
+    EXPECT_EQ(sim.duration_s, ran.duration_s);
+    EXPECT_EQ(sim.completed_bytes, ran.completed_bytes);
+    EXPECT_EQ(sim.throughput_gbps, ran.throughput_gbps);
+    EXPECT_EQ(sim.avg_hops, ran.avg_hops);
+    EXPECT_EQ(sim.fct_avg_s, ran.fct_avg_s);
+    EXPECT_EQ(sim.fct_max_s, ran.fct_max_s);
+    EXPECT_EQ(sim.fct_p50_s, ran.fct_p50_s);
+    EXPECT_EQ(sim.fct_p99_s, ran.fct_p99_s);
+    EXPECT_EQ(sim.fct_p999_s, ran.fct_p999_s);
+    EXPECT_EQ(sim.slowdown_avg, ran.slowdown_avg);
+    EXPECT_EQ(sim.slowdown_p50, ran.slowdown_p50);
+    EXPECT_EQ(sim.slowdown_p99, ran.slowdown_p99);
+    EXPECT_EQ(sim.slowdown_p999, ran.slowdown_p999);
+}
+
 TEST(FlowCampaign, JsonIsWellFormedEnough)
 {
     const DcnResult result = DcnCampaign(smallCampaign()).run(nullptr);
@@ -1091,6 +1133,8 @@ TEST(FlowCampaign, EmptyAxesDiesLoudly)
     cfg = smallCampaign();
     cfg.designs[0].radix = 0;
     EXPECT_DEATH(DcnCampaign{cfg}, "calibrated");
+    // Two cells: index 2 is past the grid.
+    EXPECT_DEATH(DcnCampaign(smallCampaign()).runCell(2), "out of range");
 }
 
 // --- Telemetry -------------------------------------------------------

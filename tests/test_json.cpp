@@ -401,7 +401,7 @@ TEST(JsonGolden, ReportJsonTwin)
               "[\"campaign\", \"p\\\"q\"], \"events\": [{\"t_s\": "
               "1e-17, \"kind\": \"k\", \"a\": 1, \"b\": 2, \"tag\": "
               "\"x\"}]}, {\"label\": \"idle\", \"events_recorded\": "
-              "0.33333333333333331, \"open_phase_depth\": 0, "
+              "3, \"open_phase_depth\": 0, "
               "\"open_phases\": [], \"events\": []}]}\n");
 
     obs::ReportOptions opts;

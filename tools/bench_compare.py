@@ -3,6 +3,7 @@
 
 Usage: tools/bench_compare.py BASELINE.json CANDIDATE.json
            [--max-regress PCT] [--require-identical]
+       tools/bench_compare.py --hostbench LOG
 
 Both files must come from the same benchmark; the kind is read from
 the "bench" field. Points are matched by the kind's key. For each match
@@ -30,6 +31,17 @@ Kinds:
            throughput); identity completed / failed / rerouted and
            every fct_* and slowdown_* field
 
+--hostbench LOG summarizes an A/B log of `python3 hostbench/run.py`
+runs instead: one line per run output, `old|new WORKLOAD SEED digest
+...` or `old|new WORKLOAD SEED {json result line}` (`#` lines are
+comments). A run of one side pairs with the other side's run of the
+same workload and seed. For each workload and metric it prints both
+medians, the parent's (old side's) interquartile range, the change's
+delta and the number of pairs the change won, then failed ops. The
+quartiles are Python's statistics.quantiles default ("exclusive",
+positions (n + 1)p). Exit 1 when a pair's digests differ or a seed ran
+on one side only.
+
 When a provenance manifest sits next to a report (the benches write
 `REPORT.json.manifest.json` siblings), its resolved configuration is
 compared too: two reports whose configs differ were not measuring the
@@ -44,6 +56,7 @@ repo builds.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 
@@ -164,11 +177,90 @@ def check_manifests(baseline, candidate):
     print("manifest configs match")
 
 
+def summarize_hostbench(path):
+    """Print the per-workload A/B summary of a hostbench log.
+
+    Returns 1 when a pair's digests differ or a seed ran on one side
+    only: such a log proves nothing about the change.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    metrics = [(m["name"], m["better"])
+               for m in bench["end_to_end"] + bench.get("per_layer", [])]
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as err:
+        sys.exit(f"bench_compare: cannot read {path}: {err.strerror}")
+    runs = {}  # (workload, seed) -> side -> {"digest", "result"}
+    for number, line in enumerate(lines, 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        side, workload, seed, rest = (line.split(" ", 3) + [""] * 3)[:4]
+        run = runs.setdefault((workload, seed), {}).setdefault(side, {})
+        try:
+            if side not in ("old", "new") or not rest:
+                raise ValueError("expected `old|new WORKLOAD SEED "
+                                 "digest ...` or `... {json}`")
+            if rest.startswith("digest "):
+                run["digest"] = rest
+            else:
+                run["result"] = json.loads(rest)
+        except ValueError as err:
+            sys.exit(f"bench_compare: {path}:{number}: {err}")
+
+    problems, pairs, mismatched = [], {}, set()
+    for (workload, seed), sides in sorted(runs.items()):
+        ran = [s for s in ("old", "new") if "result" in sides.get(s, {})]
+        if len(ran) < 2:
+            problems.append(f"{workload} seed {seed} ran on the "
+                            f"{' and '.join(ran) or 'no'} side only")
+            continue
+        old, new = sides["old"], sides["new"]
+        if old.get("digest") != new.get("digest"):
+            mismatched.add(workload)
+            problems.append(f"{workload} seed {seed}: "
+                            f"{old.get('digest')!r} vs "
+                            f"{new.get('digest')!r}")
+        pairs.setdefault(workload, []).append(
+            (old["result"], new["result"]))
+
+    for workload, ab in sorted(pairs.items()):
+        n = len(ab)
+        state = "DIGESTS DIFFER" if workload in mismatched \
+            else "digests equal"
+        print(f"{workload}: {n} pairs, {state}")
+        for name, better in metrics:
+            if name not in ab[0][0]["metrics"]:
+                continue
+            old = [o["metrics"][name]["value"] for o, _ in ab]
+            new = [c["metrics"][name]["value"] for _, c in ab]
+            base, cand = statistics.median(old), statistics.median(new)
+            q1, _, q3 = statistics.quantiles(old, n=4) if n > 1 \
+                else (0.0, 0.0, 0.0)
+            won = sum((c < o) if better == "lower" else (c > o)
+                      for o, c in zip(old, new))
+            delta = (cand / base - 1.0) * 100.0 if base else 0.0
+            print(f"  {name:12s} parent median {base:g} "
+                  f"(IQR {q3 - q1:.3g})  change median {cand:g}  "
+                  f"{delta:+.1f}%  change better in {won}/{n}")
+        print(f"  failed ops: parent {sum(o['failed'] for o, _ in ab)}"
+              f", change {sum(c['failed'] for _, c in ab)}")
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    return 1 if problems else 0
+
+
 def main():
     parser = argparse.ArgumentParser(
-        description="Diff two bench JSON reports.")
-    parser.add_argument("baseline")
-    parser.add_argument("candidate")
+        description="Diff two bench JSON reports, or summarize a "
+                    "hostbench A/B log.")
+    parser.add_argument("baseline", nargs="?")
+    parser.add_argument("candidate", nargs="?")
+    parser.add_argument(
+        "--hostbench", metavar="LOG",
+        help="summarize an A/B log of hostbench/run.py runs")
     parser.add_argument(
         "--max-regress", type=float, default=10.0, metavar="PCT",
         help="fail if any point is more than PCT%% below the "
@@ -178,6 +270,12 @@ def main():
         help="fail unless the identity fields match point-for-point "
              "(behavioural bit-identity)")
     args = parser.parse_args()
+    if args.hostbench:
+        if args.baseline or args.candidate:
+            parser.error("--hostbench takes no report arguments")
+        return summarize_hostbench(args.hostbench)
+    if not args.candidate:
+        parser.error("need BASELINE.json and CANDIDATE.json")
 
     check_manifests(args.baseline, args.candidate)
     base_kind, base_smoke, base = load_points(args.baseline)

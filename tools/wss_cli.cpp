@@ -42,9 +42,9 @@
 #include "tech/yield.hpp"
 #include "topology/clos.hpp"
 #include "trace/generators.hpp"
+#include "util/artifact.hpp"
 #include "util/logging.hpp"
 #include "util/parse.hpp"
-#include "util/seed.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -278,21 +278,25 @@ class ObsSession
         artifacts_.emplace_back(path, kind);
     }
 
-    /// --csv / --json: write @p result's tables as artifacts of kind
-    /// "<kind>-csv" / "<kind>-json".
+    /// --csv / --json: write @p result's tables, flush-checked, as
+    /// artifacts of kind "<kind>-csv" / "<kind>-json".
     template <typename Result>
     void
     writeResults(const Result &result, const std::string &kind)
     {
         if (args_.has("csv")) {
             const std::string path = args_.str("csv", "");
-            result.writeCsvFile(path);
+            util::writeArtifactFile(path, kind, [&](std::ostream &os) {
+                result.writeCsv(os);
+            });
             note(path, kind + "-csv");
             std::cout << "CSV written to " << path << "\n";
         }
         if (args_.has("json")) {
             const std::string path = args_.str("json", "");
-            result.writeJsonFile(path);
+            util::writeArtifactFile(path, kind, [&](std::ostream &os) {
+                result.writeJson(os);
+            });
             note(path, kind + "-json");
             std::cout << "JSON written to " << path << "\n";
         }
@@ -818,15 +822,6 @@ cmdResilience(const Args &args)
     return 0;
 }
 
-/// Round @p ports down to a positive multiple of ssc.radix / 2 (the
-/// granularity buildFoldedClos accepts).
-std::int64_t
-alignPorts(std::int64_t ports, int ssc_radix)
-{
-    const std::int64_t half = ssc_radix / 2;
-    return std::max<std::int64_t>(ports / half, 1) * half;
-}
-
 /// SSC + I/O power estimate (W) for a switch that did not come out
 /// of the radix solver: core power of its 2-level-Clos chiplets plus
 /// the substrate-crossing and external-port I/O.
@@ -870,7 +865,7 @@ dcnProfile(const Args &args, const std::string &name,
     // expensive, so the sweep runs on a capped internal fabric of
     // the same chiplet; the latency-vs-load shape carries over and
     // the profile keeps the full DCN-level radix.
-    spec.ports = alignPorts(
+    spec.ports = topology::alignClosPorts(
         std::min<std::int64_t>(ports, args.integer("cal-ports", 512)),
         ssc.radix);
     spec.ssc = ssc;
@@ -926,13 +921,14 @@ setupDesignPair(const Args &args, const std::string &tool,
         if (solved.best.ports == 0)
             fatal(tool, ": the radix solver found no feasible "
                         "waferscale design; pin one with --ws-ports");
-        ws_ports = alignPorts(solved.best.ports, dspec.ssc.radix);
+        ws_ports =
+            topology::alignClosPorts(solved.best.ports, dspec.ssc.radix);
         ws_power = solved.best.power.total();
         std::cout << tool << ": solver sized the waferscale switch at "
                   << ws_ports << " ports, "
                   << Table::num(ws_power / 1000.0, 1) << " kW\n";
     } else {
-        ws_ports = alignPorts(ws_ports, dspec.ssc.radix);
+        ws_ports = topology::alignClosPorts(ws_ports, dspec.ssc.radix);
         ws_power = estimateSwitchPower(dspec, ws_ports, dspec.ssc);
     }
 
@@ -941,7 +937,7 @@ setupDesignPair(const Args &args, const std::string &tool,
         static_cast<int>(args.integer("conv-ssc-radix", 32)),
         dspec.ssc.line_rate);
     const std::int64_t conv_aligned =
-        alignPorts(conv_ports, conv_ssc.radix);
+        topology::alignClosPorts(conv_ports, conv_ssc.radix);
     const double conv_power =
         estimateSwitchPower(dspec, conv_aligned, conv_ssc);
 
@@ -975,9 +971,9 @@ cmdDcn(const Args &args)
     cfg.fault_model.node_field_failure = args.num("node-fail", 0.0);
     cfg.seed = args.seed();
 
+    const flow::DcnCampaign campaign(cfg);
     const flow::DcnResult result =
-        flow::DcnCampaign(cfg).run(&pool, session.sink(),
-                                   &session.profiler());
+        campaign.run(&pool, session.sink(), &session.profiler());
 
     Table table("wss dcn — " + Table::num(cfg.hosts) + " hosts, " +
                     Table::num(cfg.flows_per_cell) +
@@ -1004,23 +1000,11 @@ cmdDcn(const Args &args)
 
     session.writeResults(result, "dcn");
 
-    // Observed run: re-simulate the campaign's first cell (same
-    // seed-derived flow list, fault-free) with windowed telemetry on
-    // and dump the per-link congestion timeline.
+    // Observed run: re-run the campaign's first cell (same flows,
+    // same faults) with windowed telemetry on and dump the per-link
+    // congestion timeline.
     if (args.has("stats-out")) {
         const std::string path = args.str("stats-out", "");
-        const flow::SwitchProfile &profile = cfg.designs.front();
-        flow::DcnTopology topo = flow::DcnTopology::build(
-            cfg.kind, cfg.hosts, static_cast<int>(profile.radix),
-            profile.line_rate_gbps);
-        flow::DcnWorkloadSpec workload = cfg.workloads.front();
-        workload.load = cfg.loads.front();
-        workload.flow_count = cfg.flows_per_cell;
-        const std::vector<flow::FlowArrival> flows =
-            flow::generateFlows(workload, topo.hostCount(),
-                                profile.line_rate_gbps,
-                                deriveSeed(cfg.seed, 1));
-
         flow::FlowSimConfig obs_cfg;
         obs_cfg.profiler = &session.profiler();
         obs_cfg.trace = session.sink();
@@ -1035,7 +1019,7 @@ cmdDcn(const Args &args)
             fatal("dcn: --telemetry-window must be positive");
 
         const flow::FlowSimResult observed =
-            flow::simulateFlows(topo, profile, flows, {}, obs_cfg);
+            campaign.runCell(0, obs_cfg).sim;
         observed.telemetry->dumpCsvFile(path);
         session.note(path, "flow-telemetry");
         std::cout << "telemetry written to " << path << " ("
@@ -1119,7 +1103,6 @@ cmdColl(const Args &args)
 
     exec::ThreadPool pool(jobs);
     ObsSession session(args, "wss coll", args.seed(), jobs);
-    obs::MetricsRegistry metrics;
 
     coll::CollCampaignConfig cfg;
     const core::DesignSpec dspec =
@@ -1137,14 +1120,13 @@ cmdColl(const Args &args)
         cfg.fault.kill_switch = !args.has("kill-trunk");
         cfg.fault.id = static_cast<int>(args.integer("kill-id", 0));
     }
-    cfg.seed = args.seed();
 
+    const coll::CollCampaign campaign(cfg);
     const coll::CollResult result =
-        coll::CollCampaign(cfg).run(&pool, session.sink(),
-                                    &session.profiler());
+        campaign.run(&pool, session.sink(), &session.profiler());
 
     Table table("wss coll — " + Table::num(cfg.ranks) +
-                    " ranks, seed " + Table::num(cfg.seed),
+                    " ranks, seed " + Table::num(args.seed()),
                 {"design", "collective", "payload", "hops", "steps",
                  "flow us", "flow busbw", "model us", "model busbw",
                  "flow/model", "failed"});
@@ -1172,9 +1154,9 @@ cmdColl(const Args &args)
     // the waferscale switch's own internal chiplet fabric.
     if (args.has("fabric")) {
         const double fab_payload = args.num("fabric-payload", 65536.0);
-        const std::int64_t half = dspec.ssc.radix / 2;
-        const std::int64_t fab_ports =
-            std::max<std::int64_t>((ranks + half - 1) / half, 1) * half;
+        // The smallest fabric of whole leaves covering every rank.
+        const std::int64_t fab_ports = topology::alignClosPorts(
+            ranks + dspec.ssc.radix / 2 - 1, dspec.ssc.radix);
         const topology::LogicalTopology fab = topology::buildFoldedClos(
             {fab_ports, dspec.ssc,
              static_cast<int>(args.integer("leaf-split", 1))});
@@ -1187,7 +1169,6 @@ cmdColl(const Args &args)
             const coll::Schedule schedule =
                 coll::buildSchedule(spec, ranks);
             coll::CollExecConfig exec_cfg;
-            exec_cfg.metrics = &metrics;
             exec_cfg.trace = session.sink();
             exec_cfg.trace_label = "fabric";
             const coll::CollExecResult fr = coll::executeOnFabric(
@@ -1245,10 +1226,8 @@ cmdColl(const Args &args)
                     cfg.kind, e.group_ranks,
                     static_cast<int>(profile.radix),
                     profile.line_rate_gbps);
-                coll::CollExecConfig exec_cfg;
-                exec_cfg.metrics = &metrics;
                 const coll::CollExecResult r = coll::executeOnDcn(
-                    schedule, e.payload_bytes, topo, profile, exec_cfg);
+                    schedule, e.payload_bytes, topo, profile);
                 entry_s.push_back(r.seconds);
                 iter_s += r.seconds * static_cast<double>(e.invocations);
             }
@@ -1292,32 +1271,24 @@ cmdColl(const Args &args)
 
     session.writeResults(result, "coll");
 
-    // Observed run: re-execute the campaign's first cell with
-    // per-rank per-step telemetry on and dump the Gantt data.
+    // Observed run: re-execute the campaign's first cell (same
+    // fault) with per-rank per-step telemetry on and dump the Gantt
+    // data.
     if (args.has("stats-out")) {
         const std::string path = args.str("stats-out", "");
-        const flow::SwitchProfile &profile = cfg.designs.front();
-        const coll::Schedule schedule =
-            coll::buildSchedule(cfg.collectives.front(), cfg.ranks);
-        flow::DcnTopology topo = flow::DcnTopology::build(
-            cfg.kind, cfg.ranks, static_cast<int>(profile.radix),
-            profile.line_rate_gbps);
         coll::CollExecConfig exec_cfg;
         exec_cfg.telemetry = true;
-        exec_cfg.metrics = &metrics;
         exec_cfg.trace = session.sink();
         exec_cfg.trace_label = "coll-observed";
         exec_cfg.profiler = &session.profiler();
-        exec_cfg.fault = cfg.fault;
-        const coll::CollExecResult observed = coll::executeOnDcn(
-            schedule, cfg.payload_bytes.front(), topo, profile,
-            exec_cfg);
-        observed.telemetry->dumpCsvFile(path);
+        const coll::CollCellResult observed =
+            campaign.runCell(0, exec_cfg);
+        observed.flow.telemetry->dumpCsvFile(path);
         session.note(path, "coll-telemetry");
         std::cout << "telemetry written to " << path << " ("
-                  << schedule.name() << ", "
-                  << observed.telemetry->steps.size() << " steps, "
-                  << observed.messages << " messages)\n";
+                  << observed.collective << ", "
+                  << observed.flow.telemetry->steps.size() << " steps, "
+                  << observed.flow.messages << " messages)\n";
     }
 
     session.finish();
