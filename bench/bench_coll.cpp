@@ -35,11 +35,8 @@ main(int argc, char **argv)
                   "conventional, cross-checked against alpha-beta");
 
     exec::ThreadPool pool(bench::benchJobs());
-    const bench::DesignPair pair =
-        bench::calibrateDesignPair("bench_coll", args, &pool);
-
     coll::CollCampaignConfig cfg;
-    cfg.designs = {pair.ws, pair.conv};
+    cfg.designs = bench::benchDesignPair("bench_coll", args, &pool);
     cfg.kind = flow::DcnKind::FatTree;
     // 128 ranks pushes the conventional 64-port baseline to a second
     // tier (the waferscale switch stays single-hop); smoke keeps both
@@ -74,7 +71,7 @@ main(int argc, char **argv)
     manifest.setConfig(
         "payloads", static_cast<std::int64_t>(cfg.payload_bytes.size()));
     bench::writePairArtifacts(
-        "coll", "Collectives", args, pair, std::move(manifest),
+        "coll", "Collectives", args, cfg.designs, std::move(manifest),
         result.threads, result.wall_seconds,
         [&](util::JsonWriter &json) {
             json.field("ranks", cfg.ranks)

@@ -3,14 +3,12 @@
  * DCN — the flow-level waferscale-vs-conventional datacenter-network
  * comparison (the paper's Table IX story, taken past closed form).
  *
- * One waferscale switch design (radix from core::RadixSolver) and a
- * conventional 64-port baseline are each calibrated into a
- * flow::SwitchProfile by sweeping the cycle-accurate fabric
- * simulator, then dropped into fat-trees covering the same host
- * count. The flow-level simulator reports what the closed-form
- * comparison cannot: FCT and slowdown tails under websearch/hadoop
- * traffic at multiple loads, next to the structural columns (switch
- * count, tiers, hops, power).
+ * `wss dcn`'s design pair (flow::makeDesignPair: the solver-sized
+ * waferscale switch and a conventional 64-port box) is dropped into
+ * fat-trees covering the same host count. The flow-level simulator
+ * reports what the closed-form comparison cannot: FCT and slowdown
+ * tails under websearch/hadoop traffic at multiple loads, next to the
+ * structural columns (switch count, tiers, hops, power).
  *
  * Emits bench_results/BENCH_dcn.json (see --json) plus a provenance
  * manifest sibling, so successive changes can diff the comparison
@@ -53,15 +51,12 @@ main(int argc, char **argv)
                   "FCT tails, hops, power");
 
     exec::ThreadPool pool(bench::benchJobs());
-    const bench::DesignPair pair =
-        bench::calibrateDesignPair("bench_dcn", args, &pool);
-    std::cout << "calibrated designs:\n";
-    designLine(pair.ws);
-    designLine(pair.conv);
-    std::cout << "\n";
-
     flow::DcnCampaignConfig cfg;
-    cfg.designs = {pair.ws, pair.conv};
+    cfg.designs = bench::benchDesignPair("bench_dcn", args, &pool);
+    std::cout << "calibrated designs:\n";
+    for (const flow::SwitchProfile &design : cfg.designs)
+        designLine(design);
+    std::cout << "\n";
     cfg.kind = flow::DcnKind::FatTree;
     cfg.hosts = args.smoke ? 128 : 256;
     cfg.workloads = {flow::workloadByName("websearch"),
@@ -101,8 +96,8 @@ main(int argc, char **argv)
     manifest.setConfig("workloads", workloads);
     manifest.setConfig("loads", loads);
     bench::writePairArtifacts(
-        "dcn", "DCN", args, pair, std::move(manifest), result.threads,
-        result.wall_seconds, [&](util::JsonWriter &json) {
+        "dcn", "DCN", args, cfg.designs, std::move(manifest),
+        result.threads, result.wall_seconds, [&](util::JsonWriter &json) {
             json.key("campaign");
             result.writeJson(json);
         });

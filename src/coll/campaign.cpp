@@ -65,10 +65,19 @@ CollCampaign::CollCampaign(CollCampaignConfig config)
     for (double payload : config_.payload_bytes)
         if (payload <= 0.0)
             fatal("CollCampaign: payloads must be positive");
-    // Fail fast on rank counts an algorithm cannot schedule, before
-    // the campaign spins up workers.
-    for (const CollSpec &spec : config_.collectives)
-        buildSchedule(spec, config_.ranks);
+    // Fail fast, one fatal before any worker starts, on a rank count
+    // an algorithm cannot schedule or a fault some cell would reject.
+    std::vector<flow::DcnTopology> topos;
+    if (config_.fault.at_step >= 0)
+        for (const auto &d : config_.designs)
+            topos.push_back(flow::DcnTopology::build(
+                config_.kind, config_.ranks, static_cast<int>(d.radix),
+                d.line_rate_gbps));
+    for (const CollSpec &spec : config_.collectives) {
+        const Schedule schedule = buildSchedule(spec, config_.ranks);
+        for (const flow::DcnTopology &topo : topos)
+            requireFaultFits(schedule, topo, config_.fault);
+    }
 }
 
 CollResult

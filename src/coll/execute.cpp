@@ -158,6 +158,24 @@ alphaBetaOf(const flow::SwitchProfile &profile, double line_rate_gbps,
     return ab;
 }
 
+void
+requireFaultFits(const Schedule &schedule, const flow::DcnTopology &topo,
+                 const CollFaultSpec &fault)
+{
+    if (fault.at_step < 0)
+        return;
+    if (fault.at_step >= schedule.steps)
+        fatal("executeOnDcn: fault step ", fault.at_step,
+              " is past the end: ", schedule.name(), " has ",
+              schedule.steps, " steps");
+    const auto count = static_cast<int>(
+        fault.kill_switch ? topo.switchCount() : topo.links().size());
+    if (fault.id < 0 || fault.id >= count)
+        fatal("executeOnDcn: fault id ", fault.id, " is out of range: ",
+              topo.name(), " has ", count,
+              fault.kill_switch ? " switches" : " trunks");
+}
+
 CollExecResult
 executeOnDcn(const Schedule &schedule, double payload_bytes,
              flow::DcnTopology &topo, const flow::SwitchProfile &profile,
@@ -168,15 +186,7 @@ executeOnDcn(const Schedule &schedule, double payload_bytes,
         fatal("executeOnDcn: ", schedule.ranks, "-rank ",
               schedule.name(), " needs ", schedule.ranks,
               " hosts but the topology has ", topo.hostCount());
-    if (cfg.fault.at_step >= 0) {
-        const auto count = static_cast<int>(
-            cfg.fault.kill_switch ? topo.switchCount()
-                                  : topo.links().size());
-        if (cfg.fault.id < 0 || cfg.fault.id >= count)
-            fatal("executeOnDcn: fault id ", cfg.fault.id,
-                  " is out of range: ", topo.name(), " has ", count,
-                  cfg.fault.kill_switch ? " switches" : " trunks");
-    }
+    requireFaultFits(schedule, topo, cfg.fault);
 
     obs::ScopedPhase exec_phase(cfg.profiler, "coll-dcn");
     // Step spans and fault instants are in simulated time: they get

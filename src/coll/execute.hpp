@@ -114,7 +114,7 @@ struct CollExecResult
 /// releases (flow fidelity only).
 struct CollFaultSpec
 {
-    /// Step index the fault precedes; -1 disables.
+    /// Step index the fault precedes (below the step count); -1 disables.
     int at_step = -1;
     /// Kill a switch (true) or a trunk bundle (false).
     bool kill_switch = true;
@@ -157,6 +157,11 @@ CollExecResult executeAlphaBeta(const Schedule &schedule,
  */
 AlphaBeta alphaBetaOf(const flow::SwitchProfile &profile,
                       double line_rate_gbps, int hops);
+
+/// fatal() unless @p fault is off or hits a step of @p schedule and a
+/// switch or trunk of @p topo (executeOnDcn() and CollCampaign check).
+void requireFaultFits(const Schedule &schedule, const flow::DcnTopology &topo,
+                      const CollFaultSpec &fault);
 
 /**
  * Execute @p schedule rank-per-host over @p topo (rank i = host i;

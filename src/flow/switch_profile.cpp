@@ -162,11 +162,6 @@ calibrateSwitchProfile(const CalibrationSpec &spec,
                        obs::Profiler *profiler)
 {
     obs::ScopedPhase calibrate_phase(profiler, "calibrate");
-    if (spec.ports <= 0)
-        fatal("calibrateSwitchProfile: need a positive port count");
-    if (spec.ssc.radix <= 0)
-        fatal("calibrateSwitchProfile: SSC radix must be positive");
-
     const auto topo = topology::buildFoldedClos(
         {spec.ports, spec.ssc, /*leaf_split=*/1});
 
@@ -180,23 +175,17 @@ calibrateSwitchProfile(const CalibrationSpec &spec,
         return std::make_unique<sim::SyntheticWorkload>(
             sim::uniformTraffic(ports), rate, packet);
     };
-    job.rates = spec.rates.empty()
-                    ? sim::geometricRates(0.05, 0.95, 7)
-                    : spec.rates;
+    job.rates = spec.rates;
     job.cfg = spec.sim_cfg;
-    job.repetitions = 1;
 
     const auto output =
         exec::SweepRunner(std::move(job)).run(pool, trace, profiler);
     const sim::SweepResult &sweep = output.combined;
 
     SwitchProfile profile;
-    profile.name = spec.name.empty()
-                       ? topo.name()
-                       : spec.name;
-    profile.radix = spec.ports;
+    profile.name = spec.name;
+    profile.radix = spec.radix > 0 ? spec.radix : spec.ports;
     profile.line_rate_gbps = spec.ssc.line_rate;
-    profile.cycle_seconds = spec.cycle_seconds;
     profile.power_watts = spec.power_watts;
     profile.zero_load_latency = sweep.zero_load_latency;
     profile.saturation = sweep.saturation_throughput;

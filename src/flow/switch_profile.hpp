@@ -30,6 +30,7 @@
 #include "obs/profiler.hpp"
 #include "obs/trace_event.hpp"
 #include "power/ssc.hpp"
+#include "sim/load_sweep.hpp"
 #include "sim/simulator.hpp"
 #include "util/units.hpp"
 
@@ -103,7 +104,9 @@ struct SwitchProfile
 
 /**
  * Everything calibrateSwitchProfile() needs: the switch's internal
- * fabric and the load sweep to run on it.
+ * fabric and the load sweep to run on it. The defaults are the one
+ * calibration of the DCN and collective studies (`wss dcn`'s flags,
+ * bench_dcn and bench_coll, hostbench's shipped profiles).
  */
 struct CalibrationSpec
 {
@@ -113,19 +116,22 @@ struct CalibrationSpec
     /// (the switch's internal fabric is a 2-level folded Clos of
     /// these chiplets, exactly like the paper's waferscale switch).
     std::int64_t ports = 512;
+    /// The profile's radix when not ports (a capped fabric); 0 = ports.
+    std::int64_t radix = 0;
     /// Sub-switch chiplet of the internal fabric.
     power::SscConfig ssc;
-    /// Offered loads to sweep (fractions of line rate). Empty picks
-    /// sim::geometricRates(0.05, 0.95, 7).
-    std::vector<double> rates;
+    /// Offered loads to sweep (fractions of line rate).
+    std::vector<double> rates = sim::geometricRates(0.05, 0.95, 5);
     /// Flits per packet in the calibration runs.
     int packet_flits = 4;
     /// Router/channel parameters of the internal fabric.
-    sim::NetworkSpec net_spec;
+    sim::NetworkSpec net_spec{
+        .buffer_per_port = 64, .rc_delay_ingress = 2, .rc_delay_transit = 2,
+        .pipeline_delay = 9, .terminal_link_latency = 8, .link_latency = {}};
     /// Phase configuration (cfg.seed is the calibration's base seed).
-    sim::SimConfig sim_cfg;
+    sim::SimConfig sim_cfg{
+        .warmup = 1000, .measure = 4000, .drain_limit = 20000};
     /// Carried into the profile verbatim.
-    double cycle_seconds = 2.56e-9;
     double power_watts = 0.0;
 };
 

@@ -427,6 +427,26 @@ TEST(CollExec, FaultIdOutOfRangeDiesLoudly)
                  "fault id -1 is out of range");
 }
 
+TEST(CollExec, FaultStepPastTheEndDiesLoudly)
+{
+    // A fault that would never fire is fatal, not a fault-free run.
+    const flow::SwitchProfile profile = testProfile("t", 64);
+    const Schedule s = allReduceSchedule(Algorithm::Ring, 8);
+    ASSERT_EQ(s.steps, 14);
+    flow::DcnTopology topo =
+        flow::DcnTopology::buildFatTree(8, 64, 200.0);
+    CollExecConfig cfg;
+    cfg.fault.at_step = s.steps;
+    EXPECT_DEATH(executeOnDcn(s, 1024.0, topo, profile, cfg),
+                 "fault step 14 is past the end: allreduce/ring has 14 "
+                 "steps");
+    // The last step still takes a fault: the only switch dies under
+    // its 8 messages.
+    cfg.fault.at_step = s.steps - 1;
+    EXPECT_EQ(executeOnDcn(s, 1024.0, topo, profile, cfg).failed_messages,
+              8);
+}
+
 TEST(CollExec, RejectsUndersizedTopology)
 {
     const flow::SwitchProfile profile = testProfile("t", 64);
@@ -665,6 +685,17 @@ TEST(CollCampaign, RejectsBadConfigs)
     CollCampaignConfig odd = smallCampaign();
     odd.ranks = 6;
     EXPECT_DEATH(CollCampaign{odd}, "power-of-two");
+    // So is a fault some cell cannot take: once, on this thread, not
+    // in workers racing to exit. Halving-doubling has 6 steps at 8
+    // ranks, and the 1-tier fabrics have no trunk.
+    CollCampaignConfig late = smallCampaign();
+    late.fault.at_step = 6;
+    EXPECT_DEATH(CollCampaign{late},
+                 "fault step 6 is past the end: "
+                 "allreduce/halving_doubling has 6 steps");
+    CollCampaignConfig trunk = smallCampaign();
+    trunk.fault = {.at_step = 1, .kill_switch = false, .id = 0};
+    EXPECT_DEATH(CollCampaign{trunk}, "fault id 0 is out of range");
     // 2 designs x 4 collectives x 2 payloads: index 16 is past the
     // grid.
     EXPECT_DEATH(CollCampaign(smallCampaign()).runCell(16),

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <random>
@@ -24,6 +25,7 @@
 #include "fault/flow_faults.hpp"
 #include "flow/dcn_campaign.hpp"
 #include "flow/dcn_topology.hpp"
+#include "flow/design_pair.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/max_min.hpp"
 #include "flow/switch_profile.hpp"
@@ -34,6 +36,8 @@
 #include "obs/trace_event.hpp"
 #include "obs/watchdog.hpp"
 #include "power/ssc.hpp"
+#include "tech/external_io.hpp"
+#include "tech/wsi.hpp"
 
 namespace wss::flow {
 namespace {
@@ -190,6 +194,94 @@ TEST(FlowProfile, CalibrationRunsAsOneCampaign)
 }
 
 // --- DcnTopology -----------------------------------------------------
+
+/// `wss dcn`'s waferscale design point at its defaults.
+DesignPairSpec
+paperPair()
+{
+    DesignPairSpec spec;
+    spec.ws.wsi = tech::siIf2x();
+    spec.ws.external_io = tech::opticalIo();
+    spec.ws.ssc = power::tomahawk5(1);
+    return spec;
+}
+
+TEST(DesignPair, SizesAndPricesBothSwitches)
+{
+    // The hook stands in for the calibration: it records what each
+    // design would be calibrated on.
+    DesignPairSpec spec = paperPair();
+    spec.ws_ports = 300;
+    spec.calibration.ports = 64;
+    std::vector<CalibrationSpec> seen;
+    const std::vector<SwitchProfile> pair =
+        makeDesignPair(spec, "dcn", [&](const CalibrationSpec &cal) {
+            seen.push_back(cal);
+            SwitchProfile profile;
+            profile.name = cal.name;
+            profile.power_watts = cal.power_watts;
+            return profile;
+        });
+    ASSERT_EQ(pair.size(), 2u);
+    ASSERT_EQ(seen.size(), 2u);
+    // 300 ports round down to two leaves of radix-256 chiplets; the
+    // 64-port calibration cap rounds up to one.
+    EXPECT_EQ(pair[0].name, "ws-256");
+    EXPECT_EQ(seen[0].ports, 128);
+    EXPECT_EQ(seen[0].radix, 256);
+    EXPECT_EQ(seen[0].ssc.radix, 256);
+    EXPECT_EQ(pair[1].name, "conv-64");
+    EXPECT_EQ(seen[1].ports, 64);
+    EXPECT_EQ(seen[1].radix, 64);
+    EXPECT_EQ(seen[1].ssc.radix, 32);
+    // Chiplet cores plus WSI and optical I/O, as in the conv-64
+    // profile hostbench ships.
+    EXPECT_DOUBLE_EQ(pair[1].power_watts, 116.092);
+    for (const CalibrationSpec &cal : seen)
+        EXPECT_EQ(cal.rates, sim::geometricRates(0.05, 0.95, 5));
+}
+
+TEST(DesignPair, CalibratedProfilesKeepTheFullRadix)
+{
+    DesignPairSpec spec = paperPair();
+    spec.ws.ssc = power::scaledSsc(8, 200.0);
+    spec.ws_ports = 64;
+    spec.conv_ports = 16;
+    spec.conv_ssc_radix = 8;
+    spec.calibration.ports = 16;
+    spec.calibration.rates = {0.1, 0.5};
+    spec.calibration.sim_cfg.warmup = 100;
+    spec.calibration.sim_cfg.measure = 300;
+    spec.calibration.sim_cfg.drain_limit = 2000;
+    const std::vector<SwitchProfile> pair = makeDesignPair(
+        spec, "dcn",
+        [](const CalibrationSpec &cal) { return calibrateSwitchProfile(cal); });
+    ASSERT_EQ(pair.size(), 2u);
+    EXPECT_EQ(pair[0].name, "ws-64");
+    EXPECT_EQ(pair[0].radix, 64);
+    EXPECT_EQ(pair[1].name, "conv-16");
+    EXPECT_EQ(pair[1].radix, 16);
+    EXPECT_GT(pair[0].power_watts, pair[1].power_watts);
+    EXPECT_FALSE(pair[0].points.empty());
+    EXPECT_FALSE(pair[1].points.empty());
+}
+
+TEST(DesignPair, PinnedRadixBelowOneLeafDiesLoudly)
+{
+    DesignPairSpec spec = paperPair();
+    const auto unused = [](const CalibrationSpec &) {
+        return SwitchProfile{};
+    };
+    spec.ws_ports = 32;
+    EXPECT_DEATH(makeDesignPair(spec, "dcn", unused),
+                 "dcn: the waferscale switch needs at least one leaf of "
+                 "its radix-256 chiplets \\(128 ports\\), got 32");
+    spec.ws_ports = 256;
+    spec.conv_ports = 8;
+    EXPECT_DEATH(makeDesignPair(spec, "coll", unused),
+                 "coll: the conventional switch needs at least one leaf "
+                 "of its radix-32 chiplets \\(16 ports\\), got 8");
+}
 
 TEST(FlowTopology, FatTreeTierSelection)
 {

@@ -347,7 +347,7 @@ TEST(JsonGolden, TrackedBenchManifestRoundTripsAndKeepsItsIdentity)
         sourcePath("bench_results/BENCH_dcn.json.manifest.json");
     const obs::RunManifest manifest = obs::RunManifest::loadJsonFile(path);
     EXPECT_EQ(jsonOf(manifest), readFile(path));
-    EXPECT_EQ(manifest.identityHash(), 0xba5372277ed45d3fULL);
+    EXPECT_EQ(manifest.identityHash(), 0xe4d21677c839f558ULL);
 }
 
 // ---------------------------------------------------------------------

@@ -18,9 +18,10 @@
 #      end-to-end `wss coll --manifest-out` → `wss report` pipeline
 #      under it (the reporter parses untrusted CSV/JSON, so its
 #      string handling runs heap-checked),
-#   4. a release-preset bench_simcore --smoke, proving the optimized
-#      build still runs every bench point to a stable result (the
-#      perf numbers themselves are tracked in bench_results/), and a
+#   4. a release-preset bench_simcore --smoke run twice and gated
+#      with tools/bench_compare.py --require-identical (the optimized
+#      build runs every bench point to the same result; the perf
+#      numbers themselves are tracked in bench_results/), and a
 #      profiler-overhead guard: a disabled ScopedPhase must be far
 #      cheaper than an enabled one (the ≤1% hot-loop contract),
 #   5. an observability smoke: a parallel sweep with --trace-out whose
@@ -112,17 +113,23 @@ python3 -m json.tool "$ASAN_TMP/report.json" > /dev/null
 rm -rf "$ASAN_TMP"
 echo "asan report pipeline green"
 
-echo "== release: bench_simcore smoke =="
+echo "== release: bench_simcore smoke, deterministic against itself =="
+# Same contract as bench_coll and bench_dcn below: two smoke runs must
+# agree on every delivered-flit and latency figure; the Mflits/s
+# metric of a smoke point is noise, so only identity is gated.
 cmake --preset release
 cmake --build --preset release -j "$JOBS"
 BENCH_TMP="$(mktemp -d)"
-build-release/bench/bench_simcore --smoke \
-    --json "$BENCH_TMP/BENCH_simcore_smoke.json"
-python3 -m json.tool "$BENCH_TMP/BENCH_simcore_smoke.json" > /dev/null
+for run in a b; do
+    build-release/bench/bench_simcore --smoke \
+        --json "$BENCH_TMP/BENCH_simcore_$run.json"
+done
 python3 -m json.tool \
-    "$BENCH_TMP/BENCH_simcore_smoke.json.manifest.json" > /dev/null
+    "$BENCH_TMP/BENCH_simcore_a.json.manifest.json" > /dev/null
+python3 tools/bench_compare.py "$BENCH_TMP/BENCH_simcore_a.json" \
+    "$BENCH_TMP/BENCH_simcore_b.json" --require-identical --max-regress 100
 rm -rf "$BENCH_TMP"
-echo "bench smoke JSON + manifest parse"
+echo "bench_simcore smoke identical across runs"
 
 echo "== release: profiler-overhead guard =="
 # The null-handle contract: a ScopedPhase on a null profiler must be

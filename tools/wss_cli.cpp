@@ -6,7 +6,6 @@
  * flag tables; `wss <subcommand> --help` prints one table.
  */
 
-#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstring>
@@ -26,6 +25,7 @@
 #include "exec/campaign.hpp"
 #include "fault/resilience.hpp"
 #include "flow/dcn_campaign.hpp"
+#include "flow/design_pair.hpp"
 #include "obs/crash_dump.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
@@ -33,8 +33,6 @@
 #include "obs/run_manifest.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/watchdog.hpp"
-#include "power/link_power.hpp"
-#include "power/switch_power.hpp"
 #include "sim/load_sweep.hpp"
 #include "sysarch/cooling_loop.hpp"
 #include "sysarch/enclosure.hpp"
@@ -455,36 +453,34 @@ cmdSolve(const Args &args)
     return 0;
 }
 
-/// Fabric parameters shared by `wss sim` and `wss sweep`.
+/// The fabric of kFabricFlags. Unset flags keep the fabric `wss dcn`
+/// calibrates its switches on (flow::CalibrationSpec).
 sim::NetworkSpec
 fabricSpecFromArgs(const Args &args)
 {
-    sim::NetworkSpec spec;
-    spec.vcs = static_cast<int>(args.integer("vcs", 16));
-    spec.buffer_per_port =
-        static_cast<int>(args.integer("buffer", 64));
-    spec.rc_delay_ingress =
-        static_cast<int>(args.integer("rc-ingress", 2));
-    spec.rc_delay_transit =
-        static_cast<int>(args.integer("rc-transit", 2));
-    spec.pipeline_delay =
-        static_cast<int>(args.integer("pipeline", 9));
-    spec.terminal_link_latency =
-        static_cast<int>(args.integer("io-delay", 8));
-    spec.internal_link_latency =
-        static_cast<int>(args.integer("hop-delay", 1));
+    sim::NetworkSpec spec = flow::CalibrationSpec().net_spec;
+    const auto set = [&](const char *flag, int &field) {
+        field = static_cast<int>(args.integer(flag, field));
+    };
+    set("vcs", spec.vcs);
+    set("buffer", spec.buffer_per_port);
+    set("rc-ingress", spec.rc_delay_ingress);
+    set("rc-transit", spec.rc_delay_transit);
+    set("pipeline", spec.pipeline_delay);
+    set("io-delay", spec.terminal_link_latency);
+    set("hop-delay", spec.internal_link_latency);
     spec.adaptive_routing = args.has("adaptive");
     return spec;
 }
 
-/// Phase configuration shared by `wss sim` and `wss sweep`.
+/// The phases of kPhaseFlags, defaulting like fabricSpecFromArgs().
 sim::SimConfig
 simConfigFromArgs(const Args &args)
 {
-    sim::SimConfig cfg;
-    cfg.warmup = args.integer("warmup", 1000);
-    cfg.measure = args.integer("measure", 4000);
-    cfg.drain_limit = args.integer("drain", 20000);
+    sim::SimConfig cfg = flow::CalibrationSpec().sim_cfg;
+    cfg.warmup = args.integer("warmup", cfg.warmup);
+    cfg.measure = args.integer("measure", cfg.measure);
+    cfg.drain_limit = args.integer("drain", cfg.drain_limit);
     cfg.seed = args.seed();
     return cfg;
 }
@@ -822,87 +818,12 @@ cmdResilience(const Args &args)
     return 0;
 }
 
-/// SSC + I/O power estimate (W) for a switch that did not come out
-/// of the radix solver: core power of its 2-level-Clos chiplets plus
-/// the substrate-crossing and external-port I/O.
-double
-estimateSwitchPower(const core::DesignSpec &spec, std::int64_t ports,
-                    const power::SscConfig &ssc)
-{
-    const auto chiplets =
-        topology::closChipletCount(ports, ssc.radix);
-    return static_cast<double>(chiplets) * ssc.core_power +
-           power::internalIoPower(2.0 * static_cast<double>(ports) *
-                                      ssc.line_rate,
-                                  spec.wsi) +
-           power::externalIoPower(ports, ssc.line_rate, spec.external_io);
-}
-
-/// Acquire one design's profile: load `<dir>/<name>.json` when
-/// --profiles names a directory holding it (and --calibrate is not
-/// forcing a refresh), otherwise run the cycle-accurate calibration
-/// sweep — and persist it back when a directory was given.
-flow::SwitchProfile
-dcnProfile(const Args &args, const std::string &name,
-           std::int64_t ports, const power::SscConfig &ssc,
-           double power_watts, exec::ThreadPool *pool,
-           ObsSession &session)
-{
-    const std::string dir = args.str("profiles", "");
-    const std::string path =
-        dir.empty() ? "" : dir + "/" + name + ".json";
-    if (!path.empty() && !args.has("calibrate")) {
-        std::ifstream probe(path);
-        if (probe.good()) {
-            std::cout << "dcn: loading profile " << path << "\n";
-            return flow::SwitchProfile::loadJsonFile(path);
-        }
-    }
-
-    flow::CalibrationSpec spec;
-    spec.name = name;
-    // Calibrating the full waferscale fabric cycle-accurately is
-    // expensive, so the sweep runs on a capped internal fabric of
-    // the same chiplet; the latency-vs-load shape carries over and
-    // the profile keeps the full DCN-level radix.
-    spec.ports = topology::alignClosPorts(
-        std::min<std::int64_t>(ports, args.integer("cal-ports", 512)),
-        ssc.radix);
-    spec.ssc = ssc;
-    spec.rates = sim::geometricRates(
-        args.num("min-rate", 0.05), args.num("max-rate", 0.95),
-        static_cast<int>(args.integer("points", 5)));
-    spec.packet_flits =
-        static_cast<int>(args.integer("packet-flits", 4));
-    spec.net_spec = fabricSpecFromArgs(args);
-    spec.sim_cfg = simConfigFromArgs(args);
-    spec.power_watts = power_watts;
-
-    std::cout << "dcn: calibrating " << name << " ("
-              << spec.ports << "-port internal fabric, "
-              << spec.rates.size() << " load points)\n";
-    flow::SwitchProfile profile = flow::calibrateSwitchProfile(
-        spec, pool, session.sink(), &session.profiler());
-    profile.radix = ports;
-    if (!path.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        profile.writeJsonFile(path);
-        std::cout << "dcn: profile written to " << path << "\n";
-    }
-    return profile;
-}
-
-/**
- * The two designs `wss dcn` and `wss coll` compare: the waferscale
- * switch (solver-sized unless --ws-ports pins it) and a conventional
- * fixed-radix box built from the same chiplet family at the same line
- * rate. Sets @p cfg.kind and @p cfg.designs = {waferscale,
- * conventional}, loading or calibrating both profiles; returns the
- * waferscale design point.
- */
+/// Sets @p cfg.kind and @p cfg.designs, the flow::makeDesignPair() of
+/// the flags; returns its spec. With --profiles, a profile is loaded
+/// from `<dir>/<name>.json` when there (unless --calibrate) and written
+/// there when calibrated.
 template <class CampaignConfig>
-core::DesignSpec
+flow::DesignPairSpec
 setupDesignPair(const Args &args, const std::string &tool,
                 exec::ThreadPool *pool, ObsSession &session,
                 CampaignConfig &cfg)
@@ -913,40 +834,43 @@ setupDesignPair(const Args &args, const std::string &tool,
         {{"fat-tree", flow::DcnKind::FatTree},
          {"dragonfly", flow::DcnKind::Dragonfly}});
 
-    const core::DesignSpec dspec = specFromArgs(args, 2);
-    std::int64_t ws_ports = args.integer("ws-ports", 0);
-    double ws_power = 0.0;
-    if (ws_ports <= 0) {
-        const auto solved = core::RadixSolver(dspec).solveMaxPorts();
-        if (solved.best.ports == 0)
-            fatal(tool, ": the radix solver found no feasible "
-                        "waferscale design; pin one with --ws-ports");
-        ws_ports =
-            topology::alignClosPorts(solved.best.ports, dspec.ssc.radix);
-        ws_power = solved.best.power.total();
-        std::cout << tool << ": solver sized the waferscale switch at "
-                  << ws_ports << " ports, "
-                  << Table::num(ws_power / 1000.0, 1) << " kW\n";
-    } else {
-        ws_ports = topology::alignClosPorts(ws_ports, dspec.ssc.radix);
-        ws_power = estimateSwitchPower(dspec, ws_ports, dspec.ssc);
-    }
+    flow::DesignPairSpec spec;
+    spec.ws = specFromArgs(args, 2);
+    spec.ws_ports = args.integer("ws-ports", 0);
+    spec.conv_ports = args.integer("conv-ports", 64);
+    spec.conv_ssc_radix =
+        static_cast<int>(args.integer("conv-ssc-radix", 32));
+    spec.calibration.ports = args.integer("cal-ports", 512);
+    spec.calibration.rates = sim::geometricRates(
+        args.num("min-rate", 0.05), args.num("max-rate", 0.95),
+        static_cast<int>(args.integer("points", 5)));
+    spec.calibration.packet_flits =
+        static_cast<int>(args.integer("packet-flits", 4));
+    spec.calibration.net_spec = fabricSpecFromArgs(args);
+    spec.calibration.sim_cfg = simConfigFromArgs(args);
 
-    const std::int64_t conv_ports = args.integer("conv-ports", 64);
-    const power::SscConfig conv_ssc = power::scaledSsc(
-        static_cast<int>(args.integer("conv-ssc-radix", 32)),
-        dspec.ssc.line_rate);
-    const std::int64_t conv_aligned =
-        topology::alignClosPorts(conv_ports, conv_ssc.radix);
-    const double conv_power =
-        estimateSwitchPower(dspec, conv_aligned, conv_ssc);
-
-    cfg.designs = {
-        dcnProfile(args, "ws-" + std::to_string(ws_ports), ws_ports,
-                   dspec.ssc, ws_power, pool, session),
-        dcnProfile(args, "conv-" + std::to_string(conv_aligned),
-                   conv_aligned, conv_ssc, conv_power, pool, session)};
-    return dspec;
+    const std::string dir = args.str("profiles", "");
+    cfg.designs = flow::makeDesignPair(spec, tool, [&](const auto &cal) {
+        const std::string path = dir + "/" + cal.name + ".json";
+        if (!dir.empty() && !args.has("calibrate") &&
+            std::ifstream(path).good()) {
+            std::cout << "dcn: loading profile " << path << "\n";
+            return flow::SwitchProfile::loadJsonFile(path);
+        }
+        std::cout << "dcn: calibrating " << cal.name << " (" << cal.ports
+                  << "-port internal fabric, " << cal.rates.size()
+                  << " load points)\n";
+        flow::SwitchProfile profile = flow::calibrateSwitchProfile(
+            cal, pool, session.sink(), &session.profiler());
+        if (!dir.empty()) {
+            std::error_code ec;
+            std::filesystem::create_directories(dir, ec);
+            profile.writeJsonFile(path);
+            std::cout << "dcn: profile written to " << path << "\n";
+        }
+        return profile;
+    });
+    return spec;
 }
 
 int
@@ -1105,8 +1029,8 @@ cmdColl(const Args &args)
     ObsSession session(args, "wss coll", args.seed(), jobs);
 
     coll::CollCampaignConfig cfg;
-    const core::DesignSpec dspec =
-        setupDesignPair(args, "coll", &pool, session, cfg);
+    const power::SscConfig ws_ssc =
+        setupDesignPair(args, "coll", &pool, session, cfg).ws.ssc;
     const flow::SwitchProfile &ws_profile = cfg.designs.front();
     cfg.ranks = ranks;
     cfg.collectives.clear();
@@ -1156,9 +1080,9 @@ cmdColl(const Args &args)
         const double fab_payload = args.num("fabric-payload", 65536.0);
         // The smallest fabric of whole leaves covering every rank.
         const std::int64_t fab_ports = topology::alignClosPorts(
-            ranks + dspec.ssc.radix / 2 - 1, dspec.ssc.radix);
+            ranks + ws_ssc.radix / 2 - 1, ws_ssc.radix);
         const topology::LogicalTopology fab = topology::buildFoldedClos(
-            {fab_ports, dspec.ssc,
+            {fab_ports, ws_ssc,
              static_cast<int>(args.integer("leaf-split", 1))});
         const sim::NetworkSpec net_spec = fabricSpecFromArgs(args);
         Table fab_table(
@@ -1506,7 +1430,8 @@ const FlagGroup kCollFlags{
     {"ranks", kValue, "ranks, one per host (default 64)"},
     {"collectives", kValue, "ring | rd | hd | tree | alltoall | rs | ag"},
     {"payloads", kValue, "per-rank payload bytes (default 1048576)"},
-    {"kill-step", kValue, "kill a switch before step N of each collective"},
+    {"kill-step", kValue,
+     "kill a switch before step N, below every collective's step count"},
     {"kill-trunk", kSwitch, "kill a trunk instead of a switch"},
     {"kill-id", kValue, "which switch/trunk dies (default 0)"},
     {"fabric", kSwitch, "also replay on the waferscale fabric"},
